@@ -1,7 +1,7 @@
 """Command-line orchestration: one named experiment per subcommand.
 
-Subcommands: qpm, spectrum, hom, bell, chsh, rates. Each run loads a
-dotted-key config (the bundled paper manifest by default), executes the
+Subcommands: qpm, spectrum, hom, bell, chsh, rates. Each run loads the
+bundled paper manifest overlaid by an optional --config file, executes the
 experiment, writes CSV/JSON artifacts under --out, and prints a JSON run
 report. Fixed seed -> bit-identical outputs (disable the timestamp with
 --no-timestamp for byte-level comparisons).
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib.resources
 import json
 import sys
 from datetime import datetime, timezone
@@ -20,14 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import config as cfgmod
 from . import counting as cnt
 from . import fitting as fitmod
 from . import interference as itf
 from . import spdc
+from .config import load_experiment_config
 from .polarization import coincidence_prob, make_psi_state
-
-ALICE_HWP_DEG = (0.0, 22.5, 45.0, 67.5)
 
 
 def _sig6(x):
@@ -57,90 +54,70 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([f"{v:.6g}" if isinstance(v, float) else v for v in row])
 
 
-def _default_config_path() -> Path:
-    ref = importlib.resources.files("pairsource").joinpath("data/paper.config")
-    with importlib.resources.as_file(ref) as path:
-        return path
-
-
-def load_experiment_config(path: str | None) -> dict[str, str]:
-    cfg = cfgmod.load_config(path if path else _default_config_path())
-    if "schema_version" in cfg and cfg["schema_version"] != "1":
-        raise cfgmod.ConfigError(f"unsupported schema_version {cfg['schema_version']}")
-    return cfg
-
-
 def _dispersion_model(cfg) -> spdc.DispersionModel:
-    path = cfgmod.get_str(cfg, "dispersion.file", "")
-    if path:
-        return spdc.DispersionModel.from_file(path)
+    if cfg["dispersion.file"]:
+        return spdc.DispersionModel.from_file(cfg["dispersion.file"])
     return spdc.DispersionModel.default()
 
 
 def _budget(cfg) -> cnt.SourceBudget:
-    lam = cfgmod.get_float(cfg, "spectrum.degenerate_nm", 1309.8)
-    bw = cnt.bandwidth_ghz(cfgmod.get_float(cfg, "filter.fwhm_nm", 0.5), lam)
+    bw = cnt.bandwidth_ghz(cfg["filter.fwhm_nm"], cfg["spectrum.degenerate_nm"])
     return cnt.SourceBudget(
-        brightness_pairs_per_s_ghz_mw=cfgmod.get_float(cfg, "source.brightness_pairs_per_s_ghz_mw", 3e5),
-        pump_power_mw=cfgmod.get_float(cfg, "source.pump_power_mw", 2.5),
+        brightness_pairs_per_s_ghz_mw=cfg["source.brightness_pairs_per_s_ghz_mw"],
+        pump_power_mw=cfg["source.pump_power_mw"],
         filter_bandwidth_ghz=bw,
-        window_ns=cfgmod.get_float(cfg, "source.window_ns", 1.5),
-        channel_loss_db=cfgmod.get_float(cfg, "losses.total_db", 10.5),
-        loss_split=cfgmod.get_float(cfg, "losses.split", 0.5),
+        window_ns=cfg["source.window_ns"],
+        channel_loss_db=cfg["losses.total_db"],
+        loss_split=cfg["losses.split"],
     )
 
 
 def _detectors(cfg) -> tuple[cnt.DetectorParams, cnt.DetectorParams]:
     det_a = cnt.DetectorParams(
-        efficiency=cfgmod.get_float(cfg, "detector.a.efficiency", 0.04),
-        dark_prob_per_ns=cfgmod.get_float(cfg, "detector.a.dark_prob_per_ns", 2.2e-5),
-        mode=cfgmod.get_str(cfg, "detector.a.mode", "free_running"),
+        efficiency=cfg["detector.a.efficiency"],
+        dark_prob_per_ns=cfg["detector.a.dark_prob_per_ns"],
+        mode=cfg["detector.a.mode"],
     )
     det_b = cnt.DetectorParams(
-        efficiency=cfgmod.get_float(cfg, "detector.b.efficiency", 0.10),
-        dark_prob_per_ns=cfgmod.get_float(cfg, "detector.b.dark_prob_per_ns", 1e-5),
-        mode=cfgmod.get_str(cfg, "detector.b.mode", "gated"),
-        gate_width_ns=cfgmod.get_float(cfg, "detector.b.gate_ns", 1.5),
+        efficiency=cfg["detector.b.efficiency"],
+        dark_prob_per_ns=cfg["detector.b.dark_prob_per_ns"],
+        mode=cfg["detector.b.mode"],
+        gate_width_ns=cfg["detector.b.gate_ns"],
     )
     return det_a, det_b
 
 
 def _spectrum_and_filter(cfg):
     spectrum = spdc.build_spectrum(
-        primary_fwhm_nm=cfgmod.get_float(cfg, "spectrum.primary_fwhm_nm", 0.7),
-        sideband_fraction=cfgmod.get_float(cfg, "spectrum.sideband_fraction", 0.15),
-        branch2_centers_nm=(cfgmod.get_float(cfg, "spectrum.branch2_h_nm", 1308.7),
-                            cfgmod.get_float(cfg, "spectrum.branch2_v_nm", 1310.9)),
-        degenerate_center_nm=cfgmod.get_float(cfg, "spectrum.degenerate_nm", 1309.8),
+        primary_fwhm_nm=cfg["spectrum.primary_fwhm_nm"],
+        sideband_fraction=cfg["spectrum.sideband_fraction"],
+        branch2_centers_nm=(cfg["spectrum.branch2_h_nm"], cfg["spectrum.branch2_v_nm"]),
+        degenerate_center_nm=cfg["spectrum.degenerate_nm"],
     )
     filt = None
-    if cfgmod.get_bool(cfg, "filter.enabled", True):
+    if cfg["filter.enabled"]:
         filt = spdc.FilterSpec(
-            center_nm=cfgmod.get_float(cfg, "filter.center_nm", 1309.8),
-            fwhm_nm=cfgmod.get_float(cfg, "filter.fwhm_nm", 0.5),
-            shape=cfgmod.get_str(cfg, "filter.shape", "gaussian"),
+            center_nm=cfg["filter.center_nm"],
+            fwhm_nm=cfg["filter.fwhm_nm"],
+            shape=cfg["filter.shape"],
         )
     return spectrum, filt
 
 
 def _source_coherence(cfg):
-    """Derived source quantities: v0, coherence time, mu and the rate floor."""
+    """Derived source quantities: v0, sideband and transmitted fractions, coherence time."""
     spectrum, filt = _spectrum_and_filter(cfg)
-    lam = cfgmod.get_float(cfg, "spectrum.degenerate_nm", 1309.8)
     if filt is not None:
-        filtered, transmitted, sideband = spdc.apply_filter(spectrum, filt)
-        v0 = 1.0 - sideband
-        tau_coh = spdc.coherence_time(lam, filt.fwhm_nm)
+        _, transmitted, sideband = spdc.apply_filter(spectrum, filt)
+        fwhm_nm = filt.fwhm_nm
     else:
-        transmitted = 1.0
-        sideband = spectrum.sideband_fraction()
-        v0 = 1.0 - sideband
-        tau_coh = spdc.coherence_time(lam, spectrum.branches[0].fwhm_nm)
+        transmitted, sideband = 1.0, spectrum.sideband_fraction()
+        fwhm_nm = spectrum.branches[0].fwhm_nm
     return {
-        "v0": v0,
+        "v0": 1.0 - sideband,
         "sideband_fraction": sideband,
         "transmitted_fraction": transmitted,
-        "tau_coh_ps": tau_coh,
+        "tau_coh_ps": spdc.coherence_time(cfg["spectrum.degenerate_nm"], fwhm_nm),
     }
 
 
@@ -148,7 +125,7 @@ def _report(name: str, cfg, args, inputs: dict, derived: dict, outputs: dict) ->
     rep = {
         "experiment": name,
         "software_version": __version__,
-        "seed": args.seed if args.seed is not None else cfgmod.get_int(cfg, "seed", 12345),
+        "seed": cfg["seed"],
         "inputs": _round_tree(inputs),
         "derived": _round_tree(derived),
         "outputs": _round_tree(outputs),
@@ -167,10 +144,6 @@ def _emit(report: dict, args, name: str) -> None:
     print(text)
 
 
-def _seed(cfg, args) -> int:
-    return args.seed if args.seed is not None else cfgmod.get_int(cfg, "seed", 12345)
-
-
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
@@ -178,20 +151,19 @@ def _seed(cfg, args) -> int:
 def cmd_qpm(cfg, args) -> dict:
     model = _dispersion_model(cfg)
     anchor = spdc.QpmAnchor(
-        poling_period_um=cfgmod.get_float(cfg, "qpm.anchor_period_um", 6.6),
-        temperature_c=cfgmod.get_float(cfg, "qpm.temperature_c", 96.8),
-        pump_wavelength_nm=cfgmod.get_float(cfg, "qpm.pump_nm", 655.0),
+        poling_period_um=cfg["qpm.anchor_period_um"],
+        temperature_c=cfg["qpm.temperature_c"],
+        pump_wavelength_nm=cfg["qpm.pump_nm"],
     )
     calibrated = spdc.calibrate_offsets(model, anchor)
     pump = anchor.pump_wavelength_nm
-    alt_pump = cfgmod.get_float(cfg, "qpm.alt_pump_nm", 780.0)
+    alt_pump = cfg["qpm.alt_pump_nm"]
     temp = anchor.temperature_c
     period_main = spdc.find_degenerate_period(calibrated, pump, temp)
     period_alt = spdc.find_degenerate_period(calibrated, alt_pump, temp)
 
-    temps = np.arange(cfgmod.get_float(cfg, "qpm.tuning.t_min_c", 60.0),
-                      cfgmod.get_float(cfg, "qpm.tuning.t_max_c", 140.0) + 1e-9,
-                      cfgmod.get_float(cfg, "qpm.tuning.t_step_c", 2.0))
+    temps = np.arange(cfg["qpm.tuning.t_min_c"], cfg["qpm.tuning.t_max_c"] + 1e-9,
+                      cfg["qpm.tuning.t_step_c"])
     qcfg = spdc.QpmConfig(anchor.poling_period_um, temp, pump)
     rows = spdc.tuning_curve(qcfg, calibrated, temps)
     if args.out:
@@ -247,6 +219,20 @@ def cmd_spectrum(cfg, args) -> dict:
                     "spectrum_after_csv": "spectrum_after.csv" if args.out and filt else None})
 
 
+def _accidental_rate(cfg) -> float:
+    return cfg["rates.accidental_fraction"] * cfg["rates.target_coincidences_cps"]
+
+
+def _rates_from_probs(cfg, probs):
+    """Rescale coincidence probabilities (max 1/2) to the coincidence rate budget."""
+    r_max, r_acc = cfg["rates.target_coincidences_cps"], _accidental_rate(cfg)
+    return r_acc + (r_max - r_acc) * 2.0 * np.asarray(probs)
+
+
+def _fit_json(fit) -> dict:
+    return {"params": fit.params, "std_errors": fit.std_errors, "reduced_chi2": fit.reduced_chi2}
+
+
 def _poisson_counts(rng, rates_cps, integration_s, use_mc: bool):
     expected = np.asarray(rates_cps) * integration_s
     if not use_mc:
@@ -258,34 +244,25 @@ def cmd_hom(cfg, args) -> dict:
     src = _source_coherence(cfg)
     v0, tau_coh = src["v0"], src["tau_coh_ps"]
     wp = itf.Wavepacket(tau_coh)
-    points = args.points or cfgmod.get_int(cfg, "scan.points", 40)
-    integration = args.integration_s or cfgmod.get_float(cfg, "scan.integration_s", 60.0)
-    span = cfgmod.get_float(cfg, "hom.delay_span_ps", 15.0)
+    points = cfg["scan.points"]
+    integration = cfg["scan.integration_s"]
+    span = cfg["hom.delay_span_ps"]
     delays = np.linspace(-span, span, points)
+    rates = _rates_from_probs(cfg, itf.hom_scan(wp, delays, v0).coincidence_probability)
 
-    r_max = cfgmod.get_float(cfg, "rates.target_coincidences_cps", 450.0)
-    acc_frac = cfgmod.get_float(cfg, "rates.accidental_fraction", 0.17)
-    r_acc = acc_frac * r_max
-    scan = itf.hom_scan(wp, delays, v0)
-    # rescale dip probabilities (max 1/2) to the coincidence rate budget
-    rates = r_acc + (r_max - r_acc) * 2.0 * np.array(scan.coincidence_probability)
-
-    rng = np.random.default_rng(_seed(cfg, args))
+    rng = np.random.default_rng(cfg["seed"])
     counts = _poisson_counts(rng, rates, integration, not args.no_mc)
     data = fitmod.ScanData(tuple(delays), tuple(counts), integration)
     raw_fit = fitmod.fit_dip(data)
-    net_fit = fitmod.fit_dip(fitmod.net_correct(data, r_acc))
+    net_fit = fitmod.fit_dip(fitmod.net_correct(data, _accidental_rate(cfg)))
 
     if args.out:
         _write_csv(Path(args.out) / "hom_scan.csv",
                    ["delay_ps", "counts", "expected_rate_cps"],
                    zip(delays.tolist(), counts.tolist(), rates.tolist()))
-        (Path(args.out) / "hom_fit.json").write_text(json.dumps(_round_tree({
-            "raw": {"params": raw_fit.params, "std_errors": raw_fit.std_errors,
-                    "reduced_chi2": raw_fit.reduced_chi2},
-            "net": {"params": net_fit.params, "std_errors": net_fit.std_errors,
-                    "reduced_chi2": net_fit.reduced_chi2},
-        }), indent=2, sort_keys=True) + "\n")
+        fits_json = {"raw": _fit_json(raw_fit), "net": _fit_json(net_fit)}
+        (Path(args.out) / "hom_fit.json").write_text(
+            json.dumps(_round_tree(fits_json), indent=2, sort_keys=True) + "\n")
 
     derived = dict(src)
     derived["dip_fwhm_model_ps"] = np.sqrt(2.0) * tau_coh
@@ -298,46 +275,41 @@ def cmd_hom(cfg, args) -> dict:
                 f"{np.sqrt(2.0) * tau_coh:.3g} ps; measured device value was wider (7.45 ps)",
     }
     return _report("hom", cfg, args,
-                   {"points": points, "integration_s": integration, "r_max_cps": r_max,
-                    "accidental_fraction": acc_frac, "mc": not args.no_mc},
+                   {"points": points, "integration_s": integration,
+                    "r_max_cps": cfg["rates.target_coincidences_cps"],
+                    "accidental_fraction": cfg["rates.accidental_fraction"], "mc": not args.no_mc},
                    derived, outputs)
 
 
-def _bell_rate_curve(coherence, phi_total, alice_hwp, bob_grid, r_max, r_acc):
+def _bell_rate_curve(cfg, coherence, phi_total, alice_hwp, bob_grid):
     rho = make_psi_state(coherence, phi_total)
-    probs = np.array([coincidence_prob(rho, 2 * alice_hwp, 2 * t) for t in bob_grid])
-    return r_acc + (r_max - r_acc) * 2.0 * probs
+    return _rates_from_probs(cfg, [coincidence_prob(rho, 2 * alice_hwp, 2 * t) for t in bob_grid])
 
 
 def _run_bell(cfg, args):
     src = _source_coherence(cfg)
-    tau_set = cfgmod.get_float(cfg, "compensator.offset_ps", 0.0)
+    tau_set = cfg["compensator.offset_ps"]
     wp = itf.Wavepacket(src["tau_coh_ps"])
     coherence = src["v0"] * itf.mode_overlap(wp, tau_set)
 
-    phi_a = cfgmod.get_float(cfg, "channel.phi_a_rad", 0.0)
-    phi_b = cfgmod.get_float(cfg, "channel.phi_b_rad", 0.0)
+    phi_a = cfg["channel.phi_a_rad"]
+    phi_b = cfg["channel.phi_b_rad"]
     phi_sb = itf.sb_balance(phi_a, phi_b, coherence)
     phi_total = phi_a + phi_b + phi_sb
 
-    points = args.points or cfgmod.get_int(cfg, "scan.points", 40)
-    integration = args.integration_s or cfgmod.get_float(cfg, "scan.integration_s", 60.0)
-    bob_grid = np.linspace(0.0, 180.0, points, endpoint=False)
-    r_max = cfgmod.get_float(cfg, "rates.target_coincidences_cps", 450.0)
-    acc_frac = cfgmod.get_float(cfg, "rates.accidental_fraction", 0.17)
-    r_acc = acc_frac * r_max
-
-    rng = np.random.default_rng(_seed(cfg, args))
+    integration = cfg["scan.integration_s"]
+    bob_grid = np.linspace(0.0, 180.0, cfg["scan.points"], endpoint=False)
+    rng = np.random.default_rng(cfg["seed"])
     fringes = {}
-    for alice in ALICE_HWP_DEG:
-        rates = _bell_rate_curve(coherence, phi_total, alice, bob_grid, r_max, r_acc)
+    for alice in fitmod.ALICE_HWP_DEG:
+        rates = _bell_rate_curve(cfg, coherence, phi_total, alice, bob_grid)
         counts = _poisson_counts(rng, rates, integration, not args.no_mc)
         data = fitmod.ScanData(tuple(bob_grid), tuple(counts), integration)
         fringes[alice] = {
             "rates": rates,
             "counts": counts,
             "raw_fit": fitmod.fit_fringe(data),
-            "net_fit": fitmod.fit_fringe(fitmod.net_correct(data, r_acc)),
+            "net_fit": fitmod.fit_fringe(fitmod.net_correct(data, _accidental_rate(cfg))),
         }
     chsh_net = fitmod.chsh_from_fits({a: f["net_fit"] for a, f in fringes.items()})
     chsh_raw = fitmod.chsh_from_fits({a: f["raw_fit"] for a, f in fringes.items()})
@@ -345,9 +317,13 @@ def _run_bell(cfg, args):
         "src": src, "coherence": coherence, "phi_sb": phi_sb,
         "bob_grid": bob_grid, "fringes": fringes,
         "chsh_net": chsh_net, "chsh_raw": chsh_raw,
-        "points": points, "integration": integration,
-        "r_max": r_max, "acc_frac": acc_frac,
     }
+
+
+def _chsh_outputs(res) -> dict:
+    net, raw = res["chsh_net"], res["chsh_raw"]
+    return {"s_net": net.S, "s_net_err": net.std_error, "n_sigma_violation": net.n_sigma_violation,
+            "s_raw": raw.S, "s_raw_err": raw.std_error}
 
 
 def cmd_bell(cfg, args) -> dict:
@@ -362,10 +338,7 @@ def cmd_bell(cfg, args) -> dict:
                            np.asarray(f["counts"]).tolist(),
                            np.asarray(f["rates"]).tolist()))
             fits_json[f"alice_hwp_{alice:g}"] = {
-                kind: {"params": f[kind].params, "std_errors": f[kind].std_errors,
-                       "reduced_chi2": f[kind].reduced_chi2}
-                for kind in ("raw_fit", "net_fit")
-            }
+                kind: _fit_json(f[kind]) for kind in ("raw_fit", "net_fit")}
         (out / "bell_fits.json").write_text(
             json.dumps(_round_tree(fits_json), indent=2, sort_keys=True) + "\n")
 
@@ -377,36 +350,28 @@ def cmd_bell(cfg, args) -> dict:
             "v_net_err": f["net_fit"].std_errors["visibility"],
         } for a, f in res["fringes"].items()
     }
-    outputs = {
-        "visibilities": visibilities,
-        "chsh": {
-            "s_net": res["chsh_net"].S, "s_net_err": res["chsh_net"].std_error,
-            "n_sigma_violation": res["chsh_net"].n_sigma_violation,
-            "s_raw": res["chsh_raw"].S, "s_raw_err": res["chsh_raw"].std_error,
-        },
-    }
     derived = dict(res["src"])
     derived.update({"state_coherence": res["coherence"], "phi_sb_rad": res["phi_sb"]})
     return _report("bell", cfg, args,
-                   {"points": res["points"], "integration_s": res["integration"],
-                    "r_max_cps": res["r_max"], "accidental_fraction": res["acc_frac"],
-                    "alice_hwp_deg": list(ALICE_HWP_DEG), "mc": not args.no_mc},
-                   derived, outputs)
+                   {"points": cfg["scan.points"], "integration_s": cfg["scan.integration_s"],
+                    "r_max_cps": cfg["rates.target_coincidences_cps"],
+                    "accidental_fraction": cfg["rates.accidental_fraction"],
+                    "alice_hwp_deg": list(fitmod.ALICE_HWP_DEG), "mc": not args.no_mc},
+                   derived, {"visibilities": visibilities, "chsh": _chsh_outputs(res)})
 
 
 def cmd_chsh(cfg, args) -> dict:
     res = _run_bell(cfg, args)
-    outputs = {
-        "s_net": res["chsh_net"].S, "s_net_err": res["chsh_net"].std_error,
-        "n_sigma_violation": res["chsh_net"].n_sigma_violation,
-        "s_raw": res["chsh_raw"].S, "s_raw_err": res["chsh_raw"].std_error,
-        "tsirelson_bound": itf.TSIRELSON,
-    }
     derived = {"state_coherence": res["coherence"], "phi_sb_rad": res["phi_sb"]}
     return _report("chsh", cfg, args,
-                   {"points": res["points"], "integration_s": res["integration"],
+                   {"points": cfg["scan.points"], "integration_s": cfg["scan.integration_s"],
                     "mc": not args.no_mc},
-                   derived, outputs)
+                   derived, {**_chsh_outputs(res), "tsirelson_bound": itf.TSIRELSON})
+
+
+def _rate_fields(rates: cnt.CountRates) -> dict:
+    return {"singles_a": rates.singles_a, "singles_b": rates.singles_b,
+            "coincidences": rates.coincidences, "accidentals": rates.accidentals}
 
 
 def cmd_rates(cfg, args) -> dict:
@@ -416,23 +381,17 @@ def cmd_rates(cfg, args) -> dict:
     analytic = cnt.expected_rates(budget, det_a, det_b)
     cal = cnt.calibrate_losses(
         budget, det_a, det_b,
-        cfgmod.get_float(cfg, "rates.target_singles_a_cps", 85000.0),
-        cfgmod.get_float(cfg, "rates.target_coincidences_cps", 450.0),
+        cfg["rates.target_singles_a_cps"],
+        cfg["rates.target_coincidences_cps"],
     )
     calibrated_budget = cnt._with_arm_losses(budget, cal["loss_a_db"], cal["loss_b_db"])
     analytic_cal = cnt.expected_rates(calibrated_budget, det_a, det_b)
 
     outputs = {
         "mu": mu,
-        "analytic_declared_losses": {
-            "singles_a": analytic.singles_a, "singles_b": analytic.singles_b,
-            "coincidences": analytic.coincidences, "accidentals": analytic.accidentals,
-        },
+        "analytic_declared_losses": _rate_fields(analytic),
         "fitted_loss_decomposition": cal,
-        "analytic_calibrated_losses": {
-            "singles_a": analytic_cal.singles_a, "singles_b": analytic_cal.singles_b,
-            "coincidences": analytic_cal.coincidences, "accidentals": analytic_cal.accidentals,
-        },
+        "analytic_calibrated_losses": _rate_fields(analytic_cal),
         "calibration_targets": {
             "singles_decomposition": "the 85 kcps singles decomposition is a calibration "
                                      "target, not a derived prediction",
@@ -441,15 +400,11 @@ def cmd_rates(cfg, args) -> dict:
         },
     }
     if not args.no_mc:
-        n_windows = cfgmod.get_int(cfg, "mc.windows", 2_000_000)
+        n_windows = cfg["mc.windows"]
         run = cnt.simulate_counts(calibrated_budget, det_a, det_b,
-                                  n_windows=n_windows, seed=_seed(cfg, args))
+                                  n_windows=n_windows, seed=cfg["seed"])
         mc = cnt.mc_rates(run, budget.window_ns)
-        outputs["monte_carlo"] = {
-            "n_windows": n_windows,
-            "singles_a": mc.singles_a, "singles_b": mc.singles_b,
-            "coincidences": mc.coincidences, "accidentals": mc.accidentals,
-        }
+        outputs["monte_carlo"] = {"n_windows": n_windows, **_rate_fields(mc)}
         if args.out:
             (Path(args.out) / "mc_run.json").write_text(run.to_json() + "\n")
     return _report("rates", cfg, args,
@@ -485,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory for CSV/JSON artifacts")
         p.add_argument("--no-mc", action="store_true", help="analytic only, no sampling")
-        p.add_argument("--net", action="store_true", help="apply accidental subtraction")
         p.add_argument("--points", type=int, default=None)
         p.add_argument("--integration-s", type=float, default=None, dest="integration_s")
         p.add_argument("--no-timestamp", action="store_true")
@@ -495,7 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_experiment_config(args.config)
+        cfg = load_experiment_config(args.config, {
+            "seed": args.seed, "scan.points": args.points,
+            "scan.integration_s": args.integration_s})
         report = COMMANDS[args.command](cfg, args)
     except Exception as exc:  # surface machine-readable failure
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import least_squares
 
-from .interference import ChshResult
+from .interference import CANONICAL_SETTINGS_DEG, ChshResult, chsh_S, correlation_E
 
 FOUR_LN2 = 4.0 * np.log(2.0)
 
@@ -153,40 +153,28 @@ def net_correct(data: ScanData, accidental_rate: float) -> ScanData:
     return replace(data, counts=corrected, net=True, variance=variance)
 
 
-# effective polarizer angles of the canonical CHSH settings
-_CHSH_BOB_HWP = {"b": 22.5 / 2.0, "b_perp": (22.5 + 90.0) / 2.0,
-                 "b_prime": 67.5 / 2.0, "b_prime_perp": (67.5 + 90.0) / 2.0}
-
-
-def _fringe_value(params, theta_b):
-    return fringe_model(theta_b, params[0], params[1], params[2])
+# Alice HWP angles (deg) of the four fringes that the CHSH settings need
+ALICE_HWP_DEG = (0.0, 22.5, 45.0, 67.5)
 
 
 def _chsh_from_params(p: np.ndarray) -> float:
     """S from the stacked parameters of the four fringe fits.
 
-    Fringe order: Alice HWP 0, 22.5, 45, 67.5 deg; 3 params each.
+    Fringe order: Alice HWP 0, 22.5, 45, 67.5 deg; 3 params each. The
+    settings are effective polarizer angles; each HWP sits at half of one.
     """
-    f = [p[3 * i: 3 * i + 3] for i in range(4)]
-    fringe_by_alice = {0.0: f[0], 22.5: f[1], 45.0: f[2], 67.5: f[3]}
+    fringe_by_alice = {hwp: p[3 * i: 3 * i + 3] for i, hwp in enumerate(ALICE_HWP_DEG)}
 
-    def corr(alice_hwp, alice_perp_hwp, bob_hwp, bob_perp_hwp):
-        fa = fringe_by_alice[alice_hwp]
-        fp = fringe_by_alice[alice_perp_hwp]
-        r_ab = _fringe_value(fa, bob_hwp)
-        r_ab_perp = _fringe_value(fa, bob_perp_hwp)
-        r_aperp_b = _fringe_value(fp, bob_hwp)
-        r_aperp_bperp = _fringe_value(fp, bob_perp_hwp)
-        total = r_ab + r_ab_perp + r_aperp_b + r_aperp_bperp
-        return (r_ab + r_aperp_bperp - r_ab_perp - r_aperp_b) / total
+    def corr(alpha, beta):
+        fa = fringe_by_alice[alpha / 2.0]
+        fp = fringe_by_alice[(alpha + 90.0) / 2.0]
+        b, b_perp = beta / 2.0, (beta + 90.0) / 2.0
+        return correlation_E([fringe_model(b, *fa), fringe_model(b_perp, *fa),
+                              fringe_model(b, *fp), fringe_model(b_perp, *fp)])
 
-    b, b_perp = _CHSH_BOB_HWP["b"], _CHSH_BOB_HWP["b_perp"]
-    bp, bp_perp = _CHSH_BOB_HWP["b_prime"], _CHSH_BOB_HWP["b_prime_perp"]
-    e_ab = corr(0.0, 45.0, b, b_perp)
-    e_abp = corr(0.0, 45.0, bp, bp_perp)
-    e_apb = corr(22.5, 67.5, b, b_perp)
-    e_apbp = corr(22.5, 67.5, bp, bp_perp)
-    return abs(e_ab - e_abp) + abs(e_apb + e_apbp)
+    s = CANONICAL_SETTINGS_DEG
+    return chsh_S([corr(s["a"], s["b"]), corr(s["a"], s["b_prime"]),
+                   corr(s["a_prime"], s["b"]), corr(s["a_prime"], s["b_prime"])]).S
 
 
 def chsh_from_fits(fits: dict[float, FitResult]) -> ChshResult:
@@ -195,19 +183,18 @@ def chsh_from_fits(fits: dict[float, FitResult]) -> ChshResult:
     Evaluates the fitted fringe models at the canonical settings, forms the
     correlations, and propagates the fit covariances to the S error.
     """
-    required = (0.0, 22.5, 45.0, 67.5)
-    missing = [a for a in required if a not in fits]
+    missing = [a for a in ALICE_HWP_DEG if a not in fits]
     if missing:
         raise ValueError(f"missing fringe fits for Alice HWP angles {missing}")
     p = np.concatenate([
         [fits[a].params["R0"], fits[a].params["V"], fits[a].params["theta0"]]
-        for a in required
+        for a in ALICE_HWP_DEG
     ])
     s = _chsh_from_params(p)
 
     # block-diagonal covariance over the four independent fits
     cov = np.zeros((12, 12))
-    for i, a in enumerate(required):
+    for i, a in enumerate(ALICE_HWP_DEG):
         cov[3 * i: 3 * i + 3, 3 * i: 3 * i + 3] = fits[a].covariance
     grad = np.zeros(12)
     for i in range(12):

@@ -21,16 +21,13 @@ TSIRELSON = 2.0 * np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Wavepacket:
-    """Single-photon temporal envelope, parameterized by coherence time (ps)."""
+    """Gaussian single-photon temporal envelope, parameterized by coherence time (ps)."""
 
     coherence_time_fwhm_ps: float
-    shape: str = "gaussian"
 
     def __post_init__(self):
         if self.coherence_time_fwhm_ps <= 0:
             raise ValueError("coherence time must be positive")
-        if self.shape != "gaussian":
-            raise ValueError(f"unsupported wavepacket shape {self.shape!r}")
 
 
 def mode_overlap(wp: Wavepacket, delay_ps: float) -> float:
@@ -65,12 +62,7 @@ class HomScan:
     coincidence_probability: tuple[float, ...]
     dip_center_ps: float
     visibility_true: float
-
-    def dip_fwhm_ps(self) -> float:
-        """FWHM of the underlying dip: sqrt(2) times the coherence time."""
-        return self._fwhm
-
-    _fwhm: float = 0.0
+    dip_fwhm_ps: float  # FWHM of the underlying dip: sqrt(2) times the coherence time
 
 
 def hom_scan(wp: Wavepacket, delays_ps, v0: float, dip_center_ps: float = 0.0) -> HomScan:
@@ -85,7 +77,7 @@ def hom_scan(wp: Wavepacket, delays_ps, v0: float, dip_center_ps: float = 0.0) -
         coincidence_probability=tuple(probs),
         dip_center_ps=dip_center_ps,
         visibility_true=v0,
-        _fwhm=np.sqrt(2.0) * wp.coherence_time_fwhm_ps,
+        dip_fwhm_ps=np.sqrt(2.0) * wp.coherence_time_fwhm_ps,
     )
 
 

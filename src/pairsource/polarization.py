@@ -11,26 +11,11 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 HERM_TOL = 1e-12
 PSD_TOL = 1e-10
 UNITARY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class AnalyzerSetting:
-    """One user's analyzer: HWP angle (deg) and, for Alice, the SB phase (rad)."""
-
-    hwp_angle: float
-    sb_phase: float = 0.0
-
-    @property
-    def polarizer_angle(self) -> float:
-        """Effective linear-polarizer angle alpha = 2 * hwp_angle (degrees)."""
-        return 2.0 * (self.hwp_angle % 180.0)
 
 
 def _rot(theta_rad: float) -> np.ndarray:

@@ -81,7 +81,6 @@ class DispersionModel:
 
     sellmeier: dict[str, _SellmeierSet]
     offsets: dict[str, float] = field(default_factory=lambda: {"H": 0.0, "V": 0.0})
-    calibrated: bool = False
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DispersionModel":
@@ -109,10 +108,10 @@ class DispersionModel:
         with importlib.resources.as_file(ref) as path:
             return cls.from_file(path)
 
-    def with_offset(self, pol: str, offset: float, calibrated: bool = True) -> "DispersionModel":
+    def with_offset(self, pol: str, offset: float) -> "DispersionModel":
         new = dict(self.offsets)
         new[pol] = offset
-        return replace(self, offsets=new, calibrated=calibrated)
+        return replace(self, offsets=new)
 
 
 def refractive_index(model: DispersionModel, lam_nm: float, temp_c: float, pol: str) -> float:

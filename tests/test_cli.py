@@ -159,10 +159,41 @@ def test_missing_config_is_machine_readable_error(capsys):
     assert "error" in doc and doc["type"]
 
 
-def test_bad_config_value_fails_cleanly(capsys, tmp_path):
-    cfg = write_config(tmp_path, {
-        "detector.a.efficiency = 0.04": "detector.a.efficiency = 1.7",
-    })
-    code, _, err = run_cli(capsys, "rates", "--no-mc", "--config", cfg)
+@pytest.mark.parametrize("command, old, new, named", [
+    ("rates", "filter.fwhm_nm = 0.5", "filter.fwhm_mn = 0.5", "filter.fwhm_nm"),
+    ("qpm", "qpm.tuning.t_step_c = 2", "qpm.tuning.t_step_c = 0", "qpm.tuning.t_step_c"),
+    ("rates", "detector.a.efficiency = 0.04", "detector.a.efficiency = 1.7", "efficiency"),
+    ("hom", "rates.accidental_fraction = 0.17", "rates.accidental_fraction = 1",
+     "rates.accidental_fraction"),
+    ("rates", "mc.windows = 2000000", "mc.windows = 0", "mc.windows"),
+], ids=["typo_key", "zero_t_step", "efficiency", "accidental_fraction", "zero_mc_windows"])
+def test_bad_config_value_fails_cleanly(capsys, tmp_path, command, old, new, named):
+    cfg = write_config(tmp_path, {old: new})
+    code, _, err = run_cli(capsys, command, "--no-mc", "--config", cfg)
     assert code == 1
-    assert "efficiency" in json.loads(err)["error"]
+    assert named in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--points", "0", "scan.points"),
+    ("--points", "3", "scan.points"),
+    ("--integration-s", "0", "scan.integration_s"),
+], ids=["points_0", "points_3", "integration_0"])
+def test_bad_flag_value_fails_cleanly(capsys, flag, value, key):
+    code, out, err = run_cli(capsys, "hom", "--no-mc", flag, value)
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert key in error or flag in error
+
+
+def test_net_flag_is_gone():
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["bell", "--net"])
+
+
+def test_partial_config_keeps_bundled_defaults(capsys, tmp_path):
+    path = tmp_path / "partial.config"
+    path.write_text("scan.points = 40\n")
+    rep = run_report(capsys, "bell", "--no-mc", "--no-timestamp", "--config", str(path))
+    assert rep["derived"]["phi_sb_rad"] == pytest.approx(2.44159, abs=1e-5)
