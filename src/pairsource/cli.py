@@ -283,7 +283,7 @@ def cmd_hom(cfg, args) -> dict:
 
 def _bell_rate_curve(cfg, coherence, phi_total, alice_hwp, bob_grid):
     rho = make_psi_state(coherence, phi_total)
-    return _rates_from_probs(cfg, [coincidence_prob(rho, 2 * alice_hwp, 2 * t) for t in bob_grid])
+    return _rates_from_probs(cfg, coincidence_prob(rho, 2 * alice_hwp, 2 * bob_grid))
 
 
 def _run_bell(cfg, args):
@@ -294,7 +294,7 @@ def _run_bell(cfg, args):
 
     phi_a = cfg["channel.phi_a_rad"]
     phi_b = cfg["channel.phi_b_rad"]
-    phi_sb = itf.sb_balance(phi_a, phi_b, coherence)
+    phi_sb = itf.sb_balance(phi_a, phi_b)
     phi_total = phi_a + phi_b + phi_sb
 
     integration = cfg["scan.integration_s"]
@@ -406,7 +406,9 @@ def cmd_rates(cfg, args) -> dict:
         mc = cnt.mc_rates(run, budget.window_ns)
         outputs["monte_carlo"] = {"n_windows": n_windows, **_rate_fields(mc)}
         if args.out:
-            (Path(args.out) / "mc_run.json").write_text(run.to_json() + "\n")
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "mc_run.json").write_text(run.to_json() + "\n")
     return _report("rates", cfg, args,
                    {"budget": {
                        "brightness": budget.brightness_pairs_per_s_ghz_mw,

@@ -62,9 +62,11 @@ class SourceBudget:
 
     def __post_init__(self):
         for name in ("brightness_pairs_per_s_ghz_mw", "pump_power_mw",
-                     "filter_bandwidth_ghz", "window_ns", "channel_loss_db"):
+                     "filter_bandwidth_ghz", "channel_loss_db"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if self.window_ns <= 0:
+            raise ValueError("window_ns must be positive")
         if not 0.0 <= self.bs_separation_prob <= 1.0:
             raise ValueError("bs_separation_prob must be in [0, 1]")
 
@@ -290,7 +292,9 @@ def simulate_counts(
         ph_a = np.zeros(n, dtype=bool)
         ph_b = np.zeros(n, dtype=bool)
         true_pair = np.zeros(n, dtype=bool)
-        for kk in range(MAX_PAIRS):
+        # slots past the largest drawn pair count are inactive and tally nothing;
+        # MAX_PAIRS slots of uniforms are drawn, so no more are read
+        for kk in range(min(int(n_pairs.max()), MAX_PAIRS)):
             active = n_pairs > kk
             base = 3 + 4 * kk
             u_sep, u_d1, u_d2, u_int = (u[:, base + j] for j in range(4))

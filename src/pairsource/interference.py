@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .polarization import coincidence_prob, make_psi_state
 
@@ -94,10 +93,10 @@ def bell_scan(state_coherence: float, phi_rad: float, alice_hwp_deg: float,
     """Coincidence probability versus Bob's HWP angle at fixed Alice setting."""
     rho = make_psi_state(state_coherence, phi_rad)
     alpha = 2.0 * alice_hwp_deg
-    bob = tuple(float(t) for t in bob_hwp_values_deg)
-    probs = tuple(coincidence_prob(rho, alpha, 2.0 * t) for t in bob)
+    bob = np.asarray(bob_hwp_values_deg, dtype=float)
+    probs = tuple(coincidence_prob(rho, alpha, 2.0 * bob).tolist())
     basis = "HV" if abs((alice_hwp_deg % 45.0)) < 1e-9 else "DA"
-    return BellScan(alice_hwp_deg, bob, probs, basis)
+    return BellScan(alice_hwp_deg, tuple(bob.tolist()), probs, basis)
 
 
 def fringe_visibility(probs) -> float:
@@ -108,24 +107,15 @@ def fringe_visibility(probs) -> float:
     return float((hi - lo) / (hi + lo))
 
 
-def sb_balance(phi_a: float, phi_b: float, coherence: float = 1.0) -> float:
-    """Compensator phase making phi_a + phi_b + phi_SB a multiple of pi.
+def sb_balance(phi_a: float, phi_b: float) -> float:
+    """Compensator phase in [0, pi) making phi_a + phi_b + phi_SB a multiple of pi.
 
-    Mirrors the experimental procedure: scan phi_SB for maximum {D,A}
-    fringe visibility, then refine around the best coarse point.
+    The experiment turns the SB until the {D,A} fringe visibility peaks. For
+    the psi state that visibility is coherence * |cos(phi_total)|, so the
+    peak is reached in closed form; phi and phi + pi are equally good and
+    the branch in [0, pi) is returned.
     """
-    thetas = np.linspace(0.0, 90.0, 61)
-
-    def neg_vis(phi_sb):
-        scan = bell_scan(coherence, phi_a + phi_b + phi_sb, 22.5, thetas)
-        return -fringe_visibility(scan.coincidence_probability)
-
-    grid = np.linspace(0.0, 2.0 * np.pi, 121)
-    best = grid[int(np.argmin([neg_vis(p) for p in grid]))]
-    span = grid[1] - grid[0]
-    res = minimize_scalar(neg_vis, bounds=(best - span, best + span), method="bounded",
-                          options={"xatol": 1e-10})
-    return float(res.x % (2.0 * np.pi))
+    return float(-(phi_a + phi_b) % np.pi)
 
 
 def correlation_E(rates) -> float:

@@ -60,7 +60,7 @@ class _SellmeierSet:
     ct: float
     dt: float
 
-    def index(self, lam_um: float, temp_c: float) -> float:
+    def index(self, lam_um, temp_c: float):
         f = (temp_c - 24.5) * (temp_c + 570.82)
         n2 = (
             self.a
@@ -68,7 +68,7 @@ class _SellmeierSet:
             + self.dt * f
             - self.e * lam_um**2
         )
-        return float(np.sqrt(n2))
+        return np.sqrt(n2)
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,12 @@ class DispersionModel:
         return replace(self, offsets=new)
 
 
-def refractive_index(model: DispersionModel, lam_nm: float, temp_c: float, pol: str) -> float:
-    """n(lambda, T) for polarization 'H' or 'V', including the calibration offset."""
-    if not LAMBDA_MIN_NM <= lam_nm <= LAMBDA_MAX_NM:
+def refractive_index(model: DispersionModel, lam_nm, temp_c: float, pol: str):
+    """n(lambda, T) for polarization 'H' or 'V', including the calibration offset.
+
+    lam_nm may be an array; the result then has its shape.
+    """
+    if not np.all((LAMBDA_MIN_NM <= lam_nm) & (lam_nm <= LAMBDA_MAX_NM)):
         raise ValueError(f"wavelength {lam_nm} nm outside [{LAMBDA_MIN_NM}, {LAMBDA_MAX_NM}] nm")
     pol = pol.upper()
     if pol not in ("H", "V"):
@@ -135,7 +138,6 @@ class QpmConfig:
     poling_period_um: float
     temperature_c: float
     pump_wavelength_nm: float
-    interaction_length_mm: float = 40.0
     pump_pol: str = "H"
     signal_pol: str = "H"
     idler_pol: str = "V"
@@ -143,19 +145,20 @@ class QpmConfig:
     def __post_init__(self):
         if self.poling_period_um <= 0:
             raise ValueError("poling period must be positive")
-        if self.interaction_length_mm <= 0:
-            raise ValueError("interaction length must be positive")
 
 
-def idler_wavelength(pump_nm: float, signal_nm: float) -> float:
-    """Energy conservation: 1/lam_i = 1/lam_p - 1/lam_s."""
-    if signal_nm <= pump_nm:
+def idler_wavelength(pump_nm: float, signal_nm):
+    """Energy conservation: 1/lam_i = 1/lam_p - 1/lam_s, elementwise in signal_nm."""
+    if np.any(np.less_equal(signal_nm, pump_nm)):
         raise ValueError(f"signal ({signal_nm} nm) must be longer than pump ({pump_nm} nm)")
     return 1.0 / (1.0 / pump_nm - 1.0 / signal_nm)
 
 
-def delta_k(cfg: QpmConfig, model: DispersionModel, signal_nm: float) -> float:
-    """Phase mismatch 2*pi*[n_p/l_p - n_s/l_s - n_i/l_i - 1/Lambda] in rad/um."""
+def delta_k(cfg: QpmConfig, model: DispersionModel, signal_nm):
+    """Phase mismatch 2*pi*[n_p/l_p - n_s/l_s - n_i/l_i - 1/Lambda] in rad/um.
+
+    signal_nm may be an array; the result then has its shape.
+    """
     lam_i = idler_wavelength(cfg.pump_wavelength_nm, signal_nm)
     n_p = refractive_index(model, cfg.pump_wavelength_nm, cfg.temperature_c, cfg.pump_pol)
     n_s = refractive_index(model, signal_nm, cfg.temperature_c, cfg.signal_pol)
@@ -169,12 +172,11 @@ def find_degenerate_period(
     pump_nm: float,
     temp_c: float,
     bracket: tuple[float, float] = (4.0, 20.0),
-    tol: float = 1e-9,
 ) -> float:
     """Poling period (um) with delta_k = 0 at degeneracy lam_s = lam_i = 2*lam_p.
 
-    Bisection on Lambda; delta_k is monotone in 1/Lambda so the root is
-    unique inside a sign-changing bracket. Residual |delta_k| < tol rad/um.
+    Brent's method on Lambda; delta_k is monotone in 1/Lambda so the root
+    is unique inside a sign-changing bracket.
     """
     lam_deg = 2.0 * pump_nm
 
@@ -183,22 +185,12 @@ def find_degenerate_period(
         return delta_k(cfg, model, lam_deg)
 
     lo, hi = bracket
-    f_lo, f_hi = mismatch(lo), mismatch(hi)
-    if f_lo * f_hi > 0:
+    if mismatch(lo) * mismatch(hi) > 0:
         raise NoPhaseMatchingError(
             f"no phase-matching solution for pump {pump_nm} nm at {temp_c} degC "
             f"in Lambda bracket {bracket} um"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = mismatch(mid)
-        if abs(f_mid) < tol:
-            return mid
-        if f_lo * f_mid <= 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    raise NoPhaseMatchingError(f"bisection did not reach |delta_k| < {tol} rad/um")
+    return brentq(mismatch, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -267,7 +259,7 @@ def tuning_curve(
     rows = []
     for temp in np.atleast_1d(temperatures):
         tcfg = replace(cfg, temperature_c=float(temp))
-        vals = np.array([delta_k(tcfg, model, ls) for ls in grid])
+        vals = delta_k(tcfg, model, grid)
         sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
         for i in sign_change:
             root = brentq(lambda ls: delta_k(tcfg, model, ls), grid[i], grid[i + 1])

@@ -117,6 +117,14 @@ def test_bell_outputs_and_bit_reproducibility(capsys, tmp_path):
     assert chsh["s_raw"] < chsh["s_net"]
 
 
+@pytest.mark.parametrize("offset_ps", ["0.05", "0.2", "0.5"])
+def test_sb_phase_branch_is_stable(capsys, tmp_path, offset_ps):
+    cfg = write_config(tmp_path, {"compensator.offset_ps = 0.0":
+                                  f"compensator.offset_ps = {offset_ps}"})
+    rep = run_report(capsys, "bell", "--no-mc", "--no-timestamp", "--config", cfg)
+    assert rep["derived"]["phi_sb_rad"] == pytest.approx(2.44159, abs=1e-5)
+
+
 def test_bell_analytic_paper_visibilities(capsys):
     rep = run_report(capsys, "bell", "--no-mc", "--no-timestamp")
     vis = rep["outputs"]["visibilities"]
@@ -149,6 +157,14 @@ def test_rates_report(capsys):
     assert fitted["implied_total_db"] != pytest.approx(fitted["declared_total_db"], abs=0.5)
 
 
+def test_rates_mc_creates_out_dir(capsys, tmp_path):
+    cfg = write_config(tmp_path, {"mc.windows = 2000000": "mc.windows = 20000"})
+    out = tmp_path / "new" / "sub"
+    run_report(capsys, "rates", "--no-timestamp", "--config", cfg, "--out", str(out))
+    assert json.loads((out / "mc_run.json").read_text())["n_windows"] == 20_000
+    assert (out / "rates_report.json").exists()
+
+
 # --- error handling --------------------------------------------------------
 
 def test_missing_config_is_machine_readable_error(capsys):
@@ -166,7 +182,9 @@ def test_missing_config_is_machine_readable_error(capsys):
     ("hom", "rates.accidental_fraction = 0.17", "rates.accidental_fraction = 1",
      "rates.accidental_fraction"),
     ("rates", "mc.windows = 2000000", "mc.windows = 0", "mc.windows"),
-], ids=["typo_key", "zero_t_step", "efficiency", "accidental_fraction", "zero_mc_windows"])
+    ("rates", "source.window_ns = 1.5", "source.window_ns = 0", "window_ns"),
+], ids=["typo_key", "zero_t_step", "efficiency", "accidental_fraction", "zero_mc_windows",
+        "zero_window_ns"])
 def test_bad_config_value_fails_cleanly(capsys, tmp_path, command, old, new, named):
     cfg = write_config(tmp_path, {old: new})
     code, _, err = run_cli(capsys, command, "--no-mc", "--config", cfg)

@@ -190,8 +190,8 @@ def test_hv_fringe_visibility_independent_of_coherence():
 # --- SB balancing ---------------------------------------------------------
 
 def test_sb_balance_zero_phase():
-    phi = sb_balance(0.0, 0.0)
-    assert min(phi % np.pi, np.pi - phi % np.pi) < 1e-6
+    for phi_a, phi_b in ((0.0, 0.0), (0.3, -0.3), (np.pi, 0.0)):
+        assert sb_balance(phi_a, phi_b) == 0.0
 
 
 def test_sb_balance_arithmetic():
@@ -203,7 +203,7 @@ def test_sb_balance_arithmetic():
 @pytest.mark.parametrize("coherence", [0.5, 0.99])
 def test_sb_balance_restores_full_visibility(coherence):
     phi_a, phi_b = 0.8, -0.25
-    phi_sb = sb_balance(phi_a, phi_b, coherence)
+    phi_sb = sb_balance(phi_a, phi_b)
     thetas = np.linspace(0, 90, 721)
     scan = bell_scan(coherence, phi_a + phi_b + phi_sb, 22.5, thetas)
     assert fringe_visibility(scan.coincidence_probability) == pytest.approx(

@@ -3,15 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jones import apply_local, hwp_matrix, is_unitary, qwp_matrix, sb_matrix
 from pairsource.polarization import (
-    apply_local,
     coincidence_prob,
-    hwp_matrix,
-    is_unitary,
     make_psi_state,
     polarizer_vector,
-    qwp_matrix,
-    sb_matrix,
     validate_density_matrix,
 )
 
@@ -139,6 +135,27 @@ def test_coincidence_closed_form_grid():
                     expected = 0.25 * (1 - np.cos(2 * ar) * np.cos(2 * br)
                                        + c * np.cos(phi) * np.sin(2 * ar) * np.sin(2 * br))
                     assert coincidence_prob(rho, a, b) == pytest.approx(expected, abs=1e-10)
+
+
+def test_coincidence_prob_array_matches_scalar_calls():
+    rng = np.random.default_rng(3)
+    rho = make_psi_state(0.85, 0.7)
+    alphas = rng.uniform(-180, 360, size=(5, 1))
+    betas = rng.uniform(-180, 360, size=7)
+    grid = coincidence_prob(rho, alphas, betas)
+    assert grid.shape == (5, 7)
+    scalar = np.array([[coincidence_prob(rho, a, b) for b in betas] for a in alphas[:, 0]])
+    assert np.array_equal(grid, scalar)
+
+
+def test_coincidence_prob_matches_jones_oracle():
+    angles = np.linspace(0, 180, 25)
+    for c in (0.0, 0.6, 1.0):
+        rho = make_psi_state(c, 0.9)
+        grid = coincidence_prob(rho, angles[:, None], angles[None, :])
+        oracle = np.array([[apply_local(rho, hwp_matrix(a / 2), hwp_matrix(b / 2))[0, 0].real
+                            for b in angles] for a in angles])
+        assert np.allclose(grid, oracle, rtol=0, atol=1e-12)
 
 
 def _random_density_matrix(rng):

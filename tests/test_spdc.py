@@ -59,8 +59,9 @@ def test_index_range_invariant(model):
 
 
 def test_out_of_range_wavelength_rejected(model):
-    with pytest.raises(ValueError):
-        refractive_index(model, 300, 96.8, "H")
+    for lam in (300, np.array([1310.0, 300.0]), np.nan):
+        with pytest.raises(ValueError):
+            refractive_index(model, lam, 96.8, "H")
 
 
 # --- quasi-phase matching -------------------------------------------------
@@ -73,6 +74,14 @@ def test_delta_k_grating_limit(model):
     n_i = refractive_index(model, 1310, 96.8, "V")
     expected = 2 * np.pi * (n_p / 0.655 - n_s / 1.310 - n_i / 1.310)
     assert bulk == pytest.approx(expected, abs=1e-9)
+
+
+def test_delta_k_array_matches_scalar_calls(calibrated):
+    cfg = QpmConfig(6.6, 96.8, 655.0)
+    grid = np.arange(1110.0, 1510.0, 0.25)
+    scalar = np.array([delta_k(cfg, calibrated, float(ls)) for ls in grid])
+    # the terms n/lambda are ~20 rad/um, so 1e-13 allows a few ulp of reordering
+    np.testing.assert_allclose(delta_k(cfg, calibrated, grid), scalar, rtol=0, atol=1e-13)
 
 
 def test_delta_k_rejects_energy_violation(model):
