@@ -25,6 +25,7 @@ _RANGES = {
     "scan.points": (lambda v: v >= 6, "must be >= 6"),
     "scan.integration_s": (lambda v: v > 0, "must be > 0"),
     "rates.accidental_fraction": (lambda v: 0 <= v < 1, "must be in [0, 1)"),
+    "losses.split": (lambda v: 0 <= v <= 1, "must be in [0, 1]"),
     "mc.windows": (lambda v: v >= 1, "must be >= 1"),
 }
 
@@ -101,4 +102,8 @@ def load_experiment_config(path: str | Path | None,
     for key, (ok, rule) in _RANGES.items():
         if not ok(cfg[key]):
             raise ConfigError(f"key {key}: {rule}, got {cfg[key]!r}")
+    t_min, t_max = cfg["qpm.tuning.t_min_c"], cfg["qpm.tuning.t_max_c"]
+    if t_min > t_max:
+        raise ConfigError(f"key qpm.tuning.t_min_c ({t_min!r}) must not exceed "
+                          f"key qpm.tuning.t_max_c ({t_max!r})")
     return MappingProxyType(cfg)

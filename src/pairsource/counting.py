@@ -18,6 +18,9 @@ agree to Poisson statistics:
 
 RNG is counter-based (numpy Philox), keyed per fixed-size window chunk,
 so tallies are independent of how chunks are partitioned across workers.
+Each window draws 3 uniforms (pair number, dark A, dark B) plus 4 per
+emitted pair (splitter, detection 1, detection 2, interference), and the
+windows are tallied by one bincount over their outcome codes.
 """
 
 from __future__ import annotations
@@ -67,8 +70,9 @@ class SourceBudget:
                 raise ValueError(f"{name} must be non-negative")
         if self.window_ns <= 0:
             raise ValueError("window_ns must be positive")
-        if not 0.0 <= self.bs_separation_prob <= 1.0:
-            raise ValueError("bs_separation_prob must be in [0, 1]")
+        for name in ("loss_split", "bs_separation_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
 
     @property
     def pair_rate_per_s(self) -> float:
@@ -241,12 +245,52 @@ def _with_arm_losses(budget: SourceBudget, loss_a_db: float, loss_b_db: float) -
     )
 
 
-_STRIDE = 3 + 4 * MAX_PAIRS  # uniforms consumed per window
+def _chunk_counts(seed: int, chunk_index: int, n: int, budget: SourceBudget,
+                  det_a: DetectorParams, det_b: DetectorParams,
+                  interference_prob: float, allow_double_pairs: bool) -> np.ndarray:
+    """Outcome counts of one chunk of n windows, indexed by the window code
+    click_a + 2*click_b + 4*true (a true coincidence implies both clicks).
 
-
-def _chunk_uniforms(seed: int, chunk_index: int, n: int) -> np.ndarray:
+    The chunk's Philox stream, keyed [seed, chunk_index], gives an (n, 3)
+    block (pair number, dark A, dark B) and then, for each pair slot k, an
+    (m_k, 4) block (separation, detection 1, detection 2, interference) for
+    the m_k windows holding more than k pairs.
+    """
+    mu = mean_pairs_per_window(budget)
+    q_a = budget.transmission_a * det_a.efficiency
+    q_b = budget.transmission_b * det_b.efficiency
+    sep = budget.bs_separation_prob
     gen = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
-    return gen.random((n, _STRIDE))
+    u = gen.random((n, 3))
+    if allow_double_pairs:  # truncated Poisson pair number
+        pmf = np.array([exp(-mu) * mu**i / factorial(i) for i in range(MAX_PAIRS + 1)])
+        pmf[-1] += max(0.0, 1.0 - pmf.sum())
+        n_pairs = np.searchsorted(np.cumsum(pmf), u[:, 0], side="left")
+    else:
+        n_pairs = (u[:, 0] < min(mu, 1.0)).astype(np.int64)
+
+    ph_a = np.zeros(n, dtype=bool)
+    ph_b = np.zeros(n, dtype=bool)
+    true_pair = np.zeros(n, dtype=bool)
+    for k in range(min(int(n_pairs.max()), MAX_PAIRS)):
+        idx = np.flatnonzero(n_pairs > k)
+        u_sep, u_d1, u_d2, u_int = gen.random((idx.size, 4)).T
+        split = u_sep < sep
+        both_a = ~split & (u_sep < sep + (1 - sep) / 2)
+        both_b = ~split & ~both_a
+        # split: photon 1 -> Alice, photon 2 -> Bob (interference veto on Bob)
+        det1_split = split & (u_d1 < q_a)
+        det2_split = split & (u_d2 < q_b) & (u_int < interference_prob)
+        ph_a[idx] |= det1_split | (both_a & ((u_d1 < q_a) | (u_d2 < q_a)))
+        ph_b[idx] |= det2_split | (both_b & ((u_d1 < q_b) | (u_d2 < q_b)))
+        true_pair[idx] |= det1_split & det2_split
+
+    click_a = ph_a | (u[:, 1] < _dark_prob(det_a, budget.window_ns))
+    click_b = ph_b | (u[:, 2] < _dark_prob(det_b, budget.window_ns))
+    if det_b.mode == "gated":
+        click_b &= click_a
+    code = click_a.view(np.uint8) + 2 * click_b.view(np.uint8) + 4 * true_pair.view(np.uint8)
+    return np.bincount(code, minlength=8)
 
 
 def simulate_counts(
@@ -266,67 +310,15 @@ def simulate_counts(
     """
     if n_windows < 1:
         raise ValueError("n_windows must be >= 1")
-    mu = mean_pairs_per_window(budget)
-    q_a = budget.transmission_a * det_a.efficiency
-    q_b = budget.transmission_b * det_b.efficiency
-    d_a = _dark_prob(det_a, budget.window_ns)
-    d_b = _dark_prob(det_b, budget.window_ns)
-    sep = budget.bs_separation_prob
-
-    # truncated Poisson CDF for the pair number (used in double-pair mode)
-    pmf = np.array([exp(-mu) * mu**i / factorial(i) for i in range(MAX_PAIRS + 1)])
-    pmf[-1] += max(0.0, 1.0 - pmf.sum())
-    cdf = np.cumsum(pmf)
-
-    tallies = {"no_click": 0, "a_only": 0, "b_only": 0, "coincidence": 0}
-    details = {"true_coincidences": 0, "accidental_coincidences": 0}
-    n_chunks = (n_windows + CHUNK - 1) // CHUNK
-    for ci in range(n_chunks):
-        n = min(CHUNK, n_windows - ci * CHUNK)
-        u = _chunk_uniforms(seed, ci, CHUNK)[:n]
-        if allow_double_pairs:
-            n_pairs = np.searchsorted(cdf, u[:, 0], side="left")
-        else:
-            n_pairs = (u[:, 0] < min(mu, 1.0)).astype(np.int64)
-
-        ph_a = np.zeros(n, dtype=bool)
-        ph_b = np.zeros(n, dtype=bool)
-        true_pair = np.zeros(n, dtype=bool)
-        # slots past the largest drawn pair count are inactive and tally nothing;
-        # MAX_PAIRS slots of uniforms are drawn, so no more are read
-        for kk in range(min(int(n_pairs.max()), MAX_PAIRS)):
-            active = n_pairs > kk
-            base = 3 + 4 * kk
-            u_sep, u_d1, u_d2, u_int = (u[:, base + j] for j in range(4))
-            split = active & (u_sep < sep)
-            both_a = active & ~split & (u_sep < sep + (1 - sep) / 2)
-            both_b = active & ~split & ~both_a
-            # split: photon 1 -> Alice, photon 2 -> Bob (interference veto on Bob)
-            det1_split = split & (u_d1 < q_a)
-            det2_split = split & (u_d2 < q_b) & (u_int < interference_prob)
-            ph_a |= det1_split
-            ph_b |= det2_split
-            true_pair |= det1_split & det2_split
-            ph_a |= both_a & ((u_d1 < q_a) | (u_d2 < q_a))
-            ph_b |= both_b & ((u_d1 < q_b) | (u_d2 < q_b))
-
-        dark_a = u[:, 1] < d_a
-        dark_b = u[:, 2] < d_b
-        click_a = ph_a | dark_a
-        click_b_raw = ph_b | dark_b
-        if det_b.mode == "gated":
-            click_b = click_b_raw & click_a
-        else:
-            click_b = click_b_raw
-        coinc = click_a & click_b
-        true = true_pair & coinc
-        tallies["coincidence"] += int(coinc.sum())
-        tallies["a_only"] += int((click_a & ~click_b).sum())
-        tallies["b_only"] += int((click_b & ~click_a).sum())
-        tallies["no_click"] += int((~click_a & ~click_b).sum())
-        details["true_coincidences"] += int(true.sum())
-        details["accidental_coincidences"] += int((coinc & ~true).sum())
-
+    counts = np.zeros(8, dtype=np.int64)
+    for ci in range((n_windows + CHUNK - 1) // CHUNK):
+        counts += _chunk_counts(seed, ci, min(CHUNK, n_windows - ci * CHUNK), budget,
+                                det_a, det_b, interference_prob, allow_double_pairs)
+    by_clicks = counts[:4] + counts[4:]  # index click_a + 2*click_b
+    tallies = {"no_click": int(by_clicks[0]), "a_only": int(by_clicks[1]),
+               "b_only": int(by_clicks[2]), "coincidence": int(by_clicks[3])}
+    details = {"true_coincidences": int(counts[7]),
+               "accidental_coincidences": int(counts[3])}
     return McRun(seed=seed, n_windows=n_windows, tallies=tallies, details=details)
 
 

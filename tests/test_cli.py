@@ -183,13 +183,23 @@ def test_missing_config_is_machine_readable_error(capsys):
      "rates.accidental_fraction"),
     ("rates", "mc.windows = 2000000", "mc.windows = 0", "mc.windows"),
     ("rates", "source.window_ns = 1.5", "source.window_ns = 0", "window_ns"),
+    ("rates", "losses.split = 0.5", "losses.split = 1.5", "losses.split"),
 ], ids=["typo_key", "zero_t_step", "efficiency", "accidental_fraction", "zero_mc_windows",
-        "zero_window_ns"])
+        "zero_window_ns", "loss_split"])
 def test_bad_config_value_fails_cleanly(capsys, tmp_path, command, old, new, named):
     cfg = write_config(tmp_path, {old: new})
     code, _, err = run_cli(capsys, command, "--no-mc", "--config", cfg)
     assert code == 1
     assert named in json.loads(err)["error"]
+
+
+def test_inverted_tuning_range_fails_cleanly(capsys, tmp_path):
+    cfg = write_config(tmp_path, {"qpm.tuning.t_min_c = 60": "qpm.tuning.t_min_c = 200"})
+    code, out, err = run_cli(capsys, "qpm", "--config", cfg)
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert "qpm.tuning.t_min_c" in error and "qpm.tuning.t_max_c" in error
 
 
 @pytest.mark.parametrize("flag, value, key", [

@@ -1,9 +1,12 @@
 import json
+from math import exp, factorial
 
 import numpy as np
 import pytest
 
 from pairsource.counting import (
+    CHUNK,
+    MAX_PAIRS,
     DetectorParams,
     McRun,
     SourceBudget,
@@ -14,6 +17,7 @@ from pairsource.counting import (
     mean_pairs_per_window,
     simulate_counts,
     visibility_net,
+    _chunk_counts,
 )
 
 C_NM_PER_PS = 299792.458  # speed of light, nm per ps
@@ -70,6 +74,9 @@ def test_budget_validation():
         paper_budget(pump_power_mw=-1.0)
     with pytest.raises(ValueError):
         paper_budget(bs_separation_prob=1.5)
+    for split in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="loss_split"):
+            paper_budget(loss_split=split)
     with pytest.raises(ValueError):
         DetectorParams(1.2, 0.0)
     with pytest.raises(ValueError):
@@ -234,6 +241,86 @@ def test_double_pair_accidentals_scale_quadratically():
     lo = accidentals(2.5 * 0.05 / 0.0983)
     hi = accidentals(2.5 * 0.1 / 0.0983)
     assert 2.8 <= hi / lo <= 5.5
+
+
+def _free_running_oracle(budget, det_a, det_b, pmf, interference_prob=1.0):
+    """Per-window P(coincidence), P(a_only), P(b_only) for free-running
+    detectors when the pair number K has distribution `pmf`.
+
+    Pairs act independently, so P(no photon click at A) = E[r_A^K], with
+    r_A the no-click probability of one pair; likewise r_B, and r_AB for no
+    photon click on either side. Dark counts multiply in as (1 - d).
+    """
+    s = budget.bs_separation_prob
+    q_a = budget.transmission_a * det_a.efficiency
+    q_b = budget.transmission_b * det_b.efficiency
+    q_b_int = q_b * interference_prob
+    r_a = s * (1 - q_a) + (1 - s) / 2 * (1 - q_a) ** 2 + (1 - s) / 2
+    r_b = s * (1 - q_b_int) + (1 - s) / 2 + (1 - s) / 2 * (1 - q_b) ** 2
+    r_ab = (s * (1 - q_a) * (1 - q_b_int) + (1 - s) / 2 * (1 - q_a) ** 2
+            + (1 - s) / 2 * (1 - q_b) ** 2)
+    d_a = det_a.dark_prob_per_ns * budget.window_ns
+    d_b = det_b.dark_prob_per_ns * budget.window_ns
+    k = np.arange(len(pmf))
+    no_a = np.dot(pmf, r_a ** k) * (1 - d_a)
+    no_b = np.dot(pmf, r_b ** k) * (1 - d_b)
+    neither = np.dot(pmf, r_ab ** k) * (1 - d_a) * (1 - d_b)
+    return {"coincidence": 1 - no_a - no_b + neither,
+            "a_only": no_b - neither, "b_only": no_a - neither}
+
+
+def _truncated_poisson(mu):
+    pmf = np.array([exp(-mu) * mu**k / factorial(k) for k in range(MAX_PAIRS + 1)])
+    pmf[-1] += max(0.0, 1.0 - pmf.sum())
+    return pmf
+
+
+BRIGHT_FREE = (SourceBudget(3e5, 10, bandwidth_ghz(0.5, 1309.8), 1.5, channel_loss_db=3,
+                            bs_separation_prob=0.6),
+               DetectorParams(0.3, 1e-3), DetectorParams(0.5, 5e-4))
+
+
+def test_free_running_oracle_reduces_to_single_pair_rates():
+    budget, det_a, det_b = BRIGHT_FREE
+    p_pair = mean_pairs_per_window(budget)
+    probs = _free_running_oracle(budget, det_a, det_b, [1 - p_pair, p_pair], 0.7)
+    rates = expected_rates(budget, det_a, det_b, interference_prob=0.7)
+    window_s = budget.window_ns * 1e-9
+    p_coinc = rates.coincidences * window_s
+    assert probs["coincidence"] == pytest.approx(p_coinc, rel=1e-12)
+    assert probs["a_only"] == pytest.approx(rates.singles_a * window_s - p_coinc, rel=1e-12)
+    assert probs["b_only"] == pytest.approx(rates.singles_b * window_s - p_coinc, rel=1e-12)
+
+
+def test_double_pair_mc_matches_oracle():
+    budget, det_a, det_b = BRIGHT_FREE
+    mu = mean_pairs_per_window(budget)
+    assert mu == pytest.approx(0.39, abs=0.01)
+    n = 1_000_000
+    run = simulate_counts(budget, det_a, det_b, n_windows=n, seed=12,
+                          allow_double_pairs=True)
+    probs = _free_running_oracle(budget, det_a, det_b, _truncated_poisson(mu))
+    for name, p in probs.items():
+        sigma = np.sqrt(n * p * (1 - p))
+        assert abs(run.tallies[name] - n * p) <= 3 * sigma, (
+            f"{name}: observed {run.tallies[name]}, expected {n * p:.1f} +- {sigma:.1f}")
+
+
+@pytest.mark.parametrize("double_pairs", [False, True], ids=["single_pair", "double_pair"])
+def test_mc_chunks_are_partition_independent(double_pairs):
+    budget, det_a, _ = BRIGHT_FREE
+    det_b = DetectorParams(0.5, 5e-4, "gated")
+    n_windows = 3 * CHUNK + 5
+    sizes = [CHUNK, CHUNK, CHUNK, 5]
+    counts = sum(_chunk_counts(4, ci, sizes[ci], budget, det_a, det_b, 0.8, double_pairs)
+                 for ci in reversed(range(len(sizes))))
+    run = simulate_counts(budget, det_a, det_b, interference_prob=0.8,
+                          n_windows=n_windows, seed=4, allow_double_pairs=double_pairs)
+    by_clicks = (counts[:4] + counts[4:]).tolist()
+    assert run.tallies == dict(zip(("no_click", "a_only", "b_only", "coincidence"),
+                                   by_clicks))
+    assert run.details == {"true_coincidences": counts[7],
+                           "accidental_coincidences": by_clicks[3] - counts[7]}
 
 
 def test_single_pair_mode_has_no_multi_pair_accidentals():
