@@ -314,9 +314,8 @@ def simulate_counts(
     for ci in range((n_windows + CHUNK - 1) // CHUNK):
         counts += _chunk_counts(seed, ci, min(CHUNK, n_windows - ci * CHUNK), budget,
                                 det_a, det_b, interference_prob, allow_double_pairs)
-    by_clicks = counts[:4] + counts[4:]  # index click_a + 2*click_b
-    tallies = {"no_click": int(by_clicks[0]), "a_only": int(by_clicks[1]),
-               "b_only": int(by_clicks[2]), "coincidence": int(by_clicks[3])}
+    tallies = dict(zip(("no_click", "a_only", "b_only", "coincidence"),
+                       (counts[:4] + counts[4:]).tolist()))  # by click_a + 2*click_b
     details = {"true_coincidences": int(counts[7]),
                "accidental_coincidences": int(counts[3])}
     return McRun(seed=seed, n_windows=n_windows, tallies=tallies, details=details)
