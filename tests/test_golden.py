@@ -2,10 +2,13 @@
 
 Each golden file is the stdout of one CLI run. Reports are rounded to 6
 significant digits and `--no-timestamp` drops the only run-dependent field,
-so the comparison is exact. A golden file is never regenerated silently:
-a change to one is a declared behaviour change.
+so the comparison is exact. `artifacts.json` holds the sha256 of every file
+the same runs write under `--out DIR`, the report included. A golden file is
+never regenerated silently: a change to one is a declared behaviour change.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,13 @@ def test_report_matches_golden(capsys, name):
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert captured.out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_artifacts_match_golden_digests(capsys, tmp_path, name):
+    out = tmp_path / name
+    code = cli.main(CASES[name] + ["--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    expected = json.loads((GOLDEN_DIR / "artifacts.json").read_text())[name]
+    assert digests == expected
