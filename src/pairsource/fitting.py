@@ -14,7 +14,7 @@ convention, not fitted).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -58,7 +58,6 @@ class FitResult:
     std_errors: dict[str, float]
     reduced_chi2: float
     covariance: np.ndarray
-    param_order: tuple[str, ...] = field(default_factory=tuple)
 
 
 def dip_model(tau, r0, v, tau0, w):
@@ -77,8 +76,9 @@ def _run_fit(data: ScanData, model, names, p0, lower, upper) -> FitResult:
     def resid(p):
         return (model(x, *p) - y) / sig
 
+    # no gradient test: it is absolute, so it would stop a fit of tiny counts at p0
     res = least_squares(resid, p0, bounds=(lower, upper),
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=2000)
+                        xtol=1e-15, ftol=1e-15, gtol=None, max_nfev=2000)
     if not res.success:
         raise FitError(f"fit did not converge: {res.message} (residual {np.sum(res.fun**2):.3g})")
     dof = max(len(y) - len(p0), 1)
@@ -94,7 +94,6 @@ def _run_fit(data: ScanData, model, names, p0, lower, upper) -> FitResult:
         std_errors=dict(zip(names, (float(e) for e in errs))),
         reduced_chi2=chi2 / dof,
         covariance=cov,
-        param_order=tuple(names),
     )
 
 
@@ -198,7 +197,9 @@ def chsh_from_fits(fits: dict[float, FitResult]) -> ChshResult:
         cov[3 * i: 3 * i + 3, 3 * i: 3 * i + 3] = fits[a].covariance
     grad = np.zeros(12)
     for i in range(12):
-        h = max(1e-6, 1e-6 * abs(p[i]))
+        # R0 (every third parameter) steps relative to itself: an absolute
+        # floor would drive a tiny fitted rate negative
+        h = 1e-6 * p[i] if i % 3 == 0 else max(1e-6, 1e-6 * abs(p[i]))
         pp, pm = p.copy(), p.copy()
         pp[i] += h
         pm[i] -= h

@@ -225,3 +225,11 @@ def test_partial_config_keeps_bundled_defaults(capsys, tmp_path):
     path.write_text("scan.points = 40\n")
     rep = run_report(capsys, "bell", "--no-mc", "--no-timestamp", "--config", str(path))
     assert rep["derived"]["phi_sb_rad"] == pytest.approx(2.44159, abs=1e-5)
+
+
+def test_chsh_does_not_depend_on_integration_time(capsys):
+    ref = run_report(capsys, "bell", "--no-mc", "--no-timestamp")["outputs"]["chsh"]
+    tiny = run_report(capsys, "bell", "--no-mc", "--no-timestamp",
+                      "--integration-s", "1e-9")["outputs"]["chsh"]
+    for key in ("s_raw", "s_net"):
+        assert f"{tiny[key]:.6g}" == f"{ref[key]:.6g}"
