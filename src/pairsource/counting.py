@@ -138,14 +138,11 @@ def expected_rates(
     det_a: DetectorParams,
     det_b: DetectorParams,
     interference_prob: float = 1.0,
-    accidental_fraction: float | None = None,
 ) -> CountRates:
     """Analytic singles/coincidence/accidental rates (counts/s).
 
     Exact enumeration of the per-window model described in the module
-    docstring (single-pair regime). `accidental_fraction`, when given,
-    overrides the dark-count-driven accidental estimate with a calibrated
-    fraction f of the maximum coincidence rate: acc = f/(1-f) * true.
+    docstring (single-pair regime).
     """
     if not 0.0 <= interference_prob <= 1.0:
         raise ValueError("interference_prob must be in [0, 1]")
@@ -177,11 +174,6 @@ def expected_rates(
     singles_b = (p_coinc if det_b.mode == "gated" else p_click_b_raw) / window_s
     coincidences = p_coinc / window_s
     accidentals = p_acc / window_s
-    if accidental_fraction is not None:
-        if not 0.0 <= accidental_fraction < 1.0:
-            raise ValueError("accidental_fraction must be in [0, 1)")
-        accidentals = (accidental_fraction / (1.0 - accidental_fraction)) * (p_true / window_s)
-        coincidences = p_true / window_s + accidentals
 
     photon_singles_a = sum(p * pa for p, pa, _ in cases) / window_s
     breakdown = {
@@ -331,17 +323,3 @@ def mc_rates(run: McRun, window_ns: float) -> CountRates:
         coincidences=t["coincidence"] / total_s,
         accidentals=run.details.get("accidental_coincidences", 0) / total_s,
     )
-
-
-def visibility_net(r_max: float, r_min: float, r_acc: float) -> tuple[float, float]:
-    """(V_net, V_raw) from max/min coincidence rates and the accidental rate.
-
-    V_net = (R_max - R_min) / (R_max - R_acc);  V_raw = (R_max - R_min) / R_max.
-    """
-    if r_min < 0 or r_acc < 0:
-        raise ValueError("rates must be non-negative")
-    if r_max <= r_acc:
-        raise ValueError("no signal: R_max must exceed the accidental rate")
-    v_net = (r_max - r_min) / (r_max - r_acc)
-    v_raw = (r_max - r_min) / r_max
-    return v_net, v_raw

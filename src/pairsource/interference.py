@@ -59,23 +59,19 @@ def hom_coincidence(alpha_deg: float, m: float, v0: float) -> float:
 class HomScan:
     delays_ps: tuple[float, ...]
     coincidence_probability: tuple[float, ...]
-    dip_center_ps: float
-    visibility_true: float
     dip_fwhm_ps: float  # FWHM of the underlying dip: sqrt(2) times the coherence time
 
 
-def hom_scan(wp: Wavepacket, delays_ps, v0: float, dip_center_ps: float = 0.0) -> HomScan:
+def hom_scan(wp: Wavepacket, delays_ps, v0: float) -> HomScan:
     """Dip at alpha = 45 deg: P(tau) = (1 - v0*m(tau)) / 2."""
     delays = np.asarray(list(delays_ps), dtype=float)
     if delays.size == 0:
         raise ValueError("delays must be non-empty")
-    probs = np.array([hom_coincidence(45.0, mode_overlap(wp, t - dip_center_ps), v0)
+    probs = np.array([hom_coincidence(45.0, mode_overlap(wp, t), v0)
                       for t in delays])
     return HomScan(
         delays_ps=tuple(delays),
         coincidence_probability=tuple(probs),
-        dip_center_ps=dip_center_ps,
-        visibility_true=v0,
         dip_fwhm_ps=np.sqrt(2.0) * wp.coherence_time_fwhm_ps,
     )
 

@@ -22,7 +22,7 @@ def polarizer_vector(alpha_deg) -> np.ndarray:
     return np.stack([np.cos(a), np.sin(a)], axis=-1, dtype=complex)
 
 
-def validate_density_matrix(rho: np.ndarray, psd_tol: float = PSD_TOL) -> None:
+def validate_density_matrix(rho: np.ndarray) -> None:
     """Raise ValueError unless rho is a valid 4x4 two-photon density matrix."""
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
@@ -32,7 +32,7 @@ def validate_density_matrix(rho: np.ndarray, psd_tol: float = PSD_TOL) -> None:
     if abs(np.trace(rho).real - 1.0) > 1e-10:
         raise ValueError(f"trace is {np.trace(rho).real}, expected 1")
     evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -psd_tol:
+    if evals.min() < -PSD_TOL:
         raise ValueError(f"density matrix not positive semidefinite (min eig {evals.min():.3e})")
 
 

@@ -27,6 +27,9 @@ from . import config as cfgmod
 
 LAMBDA_MIN_NM = 400.0
 LAMBDA_MAX_NM = 2000.0
+# signal grid, around degeneracy, that tuning_curve searches for roots of delta_k
+TUNING_HALFWIDTH_NM = 200.0
+TUNING_STEP_NM = 0.25
 
 
 class NoPhaseMatchingError(RuntimeError):
@@ -138,9 +141,6 @@ class QpmConfig:
     poling_period_um: float
     temperature_c: float
     pump_wavelength_nm: float
-    pump_pol: str = "H"
-    signal_pol: str = "H"
-    idler_pol: str = "V"
 
     def __post_init__(self):
         if self.poling_period_um <= 0:
@@ -160,9 +160,9 @@ def delta_k(cfg: QpmConfig, model: DispersionModel, signal_nm):
     signal_nm may be an array; the result then has its shape.
     """
     lam_i = idler_wavelength(cfg.pump_wavelength_nm, signal_nm)
-    n_p = refractive_index(model, cfg.pump_wavelength_nm, cfg.temperature_c, cfg.pump_pol)
-    n_s = refractive_index(model, signal_nm, cfg.temperature_c, cfg.signal_pol)
-    n_i = refractive_index(model, lam_i, cfg.temperature_c, cfg.idler_pol)
+    n_p = refractive_index(model, cfg.pump_wavelength_nm, cfg.temperature_c, "H")
+    n_s = refractive_index(model, signal_nm, cfg.temperature_c, "H")
+    n_i = refractive_index(model, lam_i, cfg.temperature_c, "V")
     lp, ls, li = (x / 1000.0 for x in (cfg.pump_wavelength_nm, signal_nm, lam_i))
     return 2.0 * np.pi * (n_p / lp - n_s / ls - n_i / li - 1.0 / cfg.poling_period_um)
 
@@ -239,8 +239,6 @@ def tuning_curve(
     cfg: QpmConfig,
     model: DispersionModel,
     temperatures: np.ndarray | list[float],
-    scan_halfwidth_nm: float = 200.0,
-    grid_step_nm: float = 0.25,
 ) -> list[tuple[float, float, float, bool]]:
     """Signal/idler solutions of delta_k = 0 versus temperature.
 
@@ -248,13 +246,13 @@ def tuning_curve(
     solution simply contribute no rows.
     """
     lam_deg = 2.0 * cfg.pump_wavelength_nm
-    lo = max(lam_deg - scan_halfwidth_nm, cfg.pump_wavelength_nm + 1.0, LAMBDA_MIN_NM)
-    hi = lam_deg + scan_halfwidth_nm
+    lo = max(lam_deg - TUNING_HALFWIDTH_NM, cfg.pump_wavelength_nm + 1.0, LAMBDA_MIN_NM)
+    hi = lam_deg + TUNING_HALFWIDTH_NM
     # keep the idler inside the model's validity range
     while idler_wavelength(cfg.pump_wavelength_nm, hi) < LAMBDA_MIN_NM:
-        hi -= grid_step_nm
+        hi -= TUNING_STEP_NM
     hi = min(hi, LAMBDA_MAX_NM)
-    grid = np.arange(lo, hi, grid_step_nm)
+    grid = np.arange(lo, hi, TUNING_STEP_NM)
 
     rows = []
     for temp in np.atleast_1d(temperatures):

@@ -16,7 +16,6 @@ from pairsource.counting import (
     mc_rates,
     mean_pairs_per_window,
     simulate_counts,
-    visibility_net,
     _chunk_counts,
 )
 
@@ -123,15 +122,6 @@ def test_rates_linear_in_pump_power():
     r2 = expected_rates(paper_budget(pump_power_mw=5.0), DET_A, DET_B)
     assert r2.breakdown["true_coincidences"] == pytest.approx(
         2 * r1.breakdown["true_coincidences"], rel=1e-12)
-
-
-def test_accidental_fraction_override():
-    rates = expected_rates(paper_budget(), DET_A, DET_B, accidental_fraction=0.17)
-    assert rates.accidentals / rates.coincidences == pytest.approx(0.17, rel=1e-9)
-    true = rates.coincidences - rates.accidentals
-    assert true == pytest.approx(rates.breakdown["true_coincidences"], rel=1e-12)
-    with pytest.raises(ValueError):
-        expected_rates(paper_budget(), DET_A, DET_B, accidental_fraction=1.0)
 
 
 def test_calibrated_losses_hit_rate_targets():
@@ -351,26 +341,3 @@ def test_mcrun_validates_and_serializes():
     doc = json.loads(run.to_json(params={"mu": 0.098}))
     assert doc["seed"] == 9 and doc["parameters"]["mu"] == 0.098
     assert sum(doc["tallies"].values()) == 4
-
-
-# --- visibility corrections -----------------------------------------------
-
-def test_visibility_net_examples():
-    r_max, r_acc = 450.0, 0.17 * 450.0
-    v_net, v_raw = visibility_net(r_max, r_acc, r_acc)
-    assert v_net == pytest.approx(1.0, abs=1e-12)
-    assert v_raw == pytest.approx(0.83, abs=1e-12)
-
-
-def test_visibility_raw_net_identity():
-    for r_max, r_min, r_acc in ((450, 80, 76.5), (1000, 200, 150), (500, 5, 3)):
-        v_net, v_raw = visibility_net(r_max, r_min, r_acc)
-        assert v_raw == pytest.approx(v_net * (1 - r_acc / r_max), rel=1e-12)
-        assert v_raw <= v_net
-
-
-def test_visibility_net_rejects_bad_input():
-    with pytest.raises(ValueError):
-        visibility_net(100.0, 10.0, 120.0)
-    with pytest.raises(ValueError):
-        visibility_net(100.0, -1.0, 10.0)

@@ -124,7 +124,6 @@ def test_hom_rejects_out_of_range():
 def test_hom_scan_dip_geometry():
     wp = Wavepacket(5.03)
     scan = hom_scan(wp, np.linspace(-20, 20, 101), v0=1.0)
-    assert scan.visibility_true == 1.0
     assert scan.dip_fwhm_ps == pytest.approx(np.sqrt(2) * 5.03, abs=1e-12)
     assert numeric_dip_fwhm(wp) == pytest.approx(7.11, abs=5e-3)
 
