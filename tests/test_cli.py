@@ -227,6 +227,15 @@ def test_partial_config_keeps_bundled_defaults(capsys, tmp_path):
     assert rep["derived"]["phi_sb_rad"] == pytest.approx(2.44159, abs=1e-5)
 
 
+def test_write_failure_is_machine_readable_error(capsys, tmp_path):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    code, out, err = run_cli(capsys, "chsh", "--no-mc", "--no-timestamp", "--out", str(blocker))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["type"] == "FileExistsError"
+
+
 def test_chsh_does_not_depend_on_integration_time(capsys):
     ref = run_report(capsys, "bell", "--no-mc", "--no-timestamp")["outputs"]["chsh"]
     tiny = run_report(capsys, "bell", "--no-mc", "--no-timestamp",
