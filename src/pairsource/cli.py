@@ -232,8 +232,8 @@ def cmd_bell(cfg, args):
 
 def cmd_chsh(cfg, args):
     _, state, _, _, chsh = _run_bell(cfg, args)
-    inputs = {k: v for k, v in _scan_inputs(cfg, args).items()
-              if k in ("points", "integration_s", "mc")}
+    inputs = {"points": cfg["scan.points"], "integration_s": cfg["scan.integration_s"],
+              "mc": not args.no_mc}
     return inputs, state, {**chsh, "tsirelson_bound": itf.TSIRELSON}, {}
 
 
