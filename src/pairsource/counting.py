@@ -30,9 +30,8 @@ from dataclasses import dataclass, field
 from math import exp, factorial
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
-from scipy.optimize import brentq
 
+C_LIGHT = 299_792_458.0  # m/s, exact by the SI definition
 CHUNK = 1 << 14
 MAX_PAIRS = 6  # Poisson truncation when double-pair emission is enabled
 
@@ -206,24 +205,50 @@ def calibrate_losses(
     over-determined and not exactly consistent with a naive loss chain, so
     the fitted per-arm decomposition is reported as a calibration result,
     not as a derived prediction.
+
+    Both steps are closed form in the single-pair model of `expected_rates`:
+    Alice's singles are quadratic in q_a, and at fixed q_a the coincidences
+    are quadratic and increasing in q_b on [0, 1]. Each loss must lie in
+    [0, 60] dB.
     """
-    def singles_resid(loss_a_db):
-        b = _with_arm_losses(budget, loss_a_db, 10.0)
-        return expected_rates(b, det_a, det_b).singles_a - target_singles_a
-
-    loss_a_db = brentq(singles_resid, 0.0, 60.0)
-
-    def coinc_resid(loss_b_db):
-        b = _with_arm_losses(budget, loss_a_db, loss_b_db)
-        return expected_rates(b, det_a, det_b).coincidences - target_coincidences
-
-    loss_b_db = brentq(coinc_resid, 0.0, 60.0)
+    p_pair = min(mean_pairs_per_window(budget), 1.0)
+    d_a = _dark_prob(det_a, budget.window_ns)
+    d_b = _dark_prob(det_b, budget.window_ns)
+    sep, bunched = budget.bs_separation_prob, (1.0 - budget.bs_separation_prob) / 2.0
+    p_click_a = target_singles_a * budget.window_ns * 1e-9
+    # singles: P(click a) - d_a = (1 - d_a) * p * (q_a - bunched * q_a^2)
+    lin_a = (1.0 - d_a) * p_pair
+    loss_a_db = _arm_loss_db(lin_a, lin_a * bunched, p_click_a - d_a, det_a.efficiency,
+                             "rates.target_singles_a_cps", "detector.a.efficiency")
+    q_a = det_a.efficiency * 10.0 ** (-loss_a_db / 10.0)
+    # coincidences: P - d_b * P(click a) = alpha * q_b + beta * (2 q_b - q_b^2), from split
+    # pairs (alpha) and from both photons at Bob with a dark click at Alice (beta)
+    alpha = (1.0 - d_b) * p_pair * sep * (d_a + (1.0 - d_a) * q_a)
+    beta = (1.0 - d_b) * p_pair * bunched * d_a
+    p_coinc = target_coincidences * budget.window_ns * 1e-9
+    loss_b_db = _arm_loss_db(alpha + 2.0 * beta, beta, p_coinc - d_b * p_click_a,
+                             det_b.efficiency, "rates.target_coincidences_cps",
+                             "detector.b.efficiency")
     return {
         "loss_a_db": float(loss_a_db),
         "loss_b_db": float(loss_b_db),
         "implied_total_db": float(loss_a_db + loss_b_db),
         "declared_total_db": budget.channel_loss_db,
     }
+
+
+def _arm_loss_db(lin: float, quad: float, y: float, efficiency: float,
+                 target_key: str, efficiency_key: str) -> float:
+    """Arm loss in [0, 60] dB whose detection probability q = efficiency *
+    10^(-loss/10) solves lin*q - quad*q^2 = y, a side rising on [0, 1]."""
+    ok = lin > 0 and efficiency > 0 and 0.0 < y <= lin - quad
+    loss_db = -10.0 * np.log10(2.0 * y / (lin + np.sqrt(lin**2 - 4.0 * quad * y))
+                               / efficiency) if ok else np.nan
+    if not 0.0 <= loss_db <= 60.0:
+        raise ValueError(f"calibration target {target_key} is unreachable with "
+                         f"{efficiency_key} = {efficiency:g}: the arm loss would fall "
+                         "outside [0, 60] dB")
+    return loss_db
 
 
 def _with_arm_losses(budget: SourceBudget, loss_a_db: float, loss_b_db: float) -> SourceBudget:

@@ -1,9 +1,10 @@
 """Least-squares extraction of visibilities, dip widths and fringe phases.
 
 Counting data gets Poisson weights (sigma^2 = max(count, 1)); parameter
-uncertainties are asymptotic standard errors from the covariance at the
-optimum. The backend is damped least squares (scipy) with numerically
-evaluated Jacobians; the visibility is bounded to [0, 1].
+uncertainties are asymptotic standard errors from the covariance inv(J^T J)
+at the optimum. The backend is a bounded Levenberg-Marquardt in numpy
+(More, Lecture Notes in Mathematics 630, 105 (1978)) with analytic
+Jacobians; the visibility is bounded to [0, 1].
 
 Models:
   dip:    R(tau)  = R0 * [1 - V * exp(-4 ln2 (tau - tau0)^2 / w^2)]
@@ -17,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .interference import CANONICAL_SETTINGS_DEG, ChshResult, chsh_S, correlation_E
 
 FOUR_LN2 = 4.0 * np.log(2.0)
+FIT_XTOL = 1e-12  # a step this small, relative to the parameters, ends a fit
+FIT_MAX_ITER = 500
 
 
 class FitError(RuntimeError):
@@ -64,35 +66,66 @@ def dip_model(tau, r0, v, tau0, w):
     return r0 * (1.0 - v * np.exp(-FOUR_LN2 * (np.asarray(tau) - tau0) ** 2 / w**2))
 
 
+def _dip_jac(tau, r0, v, tau0, w):
+    d = np.asarray(tau) - tau0
+    e = np.exp(-FOUR_LN2 * d**2 / w**2)
+    d_tau0 = -2.0 * FOUR_LN2 * r0 * v * e * d / w**2
+    return np.column_stack([1.0 - v * e, -r0 * e, d_tau0, d_tau0 * d / w])
+
+
 def fringe_model(theta, r0, v, theta0):
     return 0.5 * r0 * (1.0 - v * np.cos(np.deg2rad(4.0 * (np.asarray(theta) - theta0))))
 
 
-def _run_fit(data: ScanData, model, names, p0, lower, upper) -> FitResult:
+def _fringe_jac(theta, r0, v, theta0):
+    phase = np.deg2rad(4.0 * (np.asarray(theta) - theta0))
+    return np.column_stack([0.5 * (1.0 - v * np.cos(phase)), -0.5 * r0 * np.cos(phase),
+                            -0.5 * r0 * v * np.sin(phase) * np.deg2rad(4.0)])
+
+
+def _run_fit(data: ScanData, model, jac, names, p0, lower, upper) -> FitResult:
+    """Levenberg-Marquardt fit of model to the weighted counts on the box
+    [lower, upper]. The damping lam * diag(J^T J) makes the step invariant
+    to parameter scales; a parameter at a bound whose gradient points out of
+    the box is held for the step, and each trial is projected onto the box.
+    It stops once a step, taken or refused, is below FIT_XTOL relative to p
+    in the diag(J^T J) norm; each refusal raises lam, so the steps shrink."""
     x = np.asarray(data.x, dtype=float)
     y = np.asarray(data.counts, dtype=float)
     sig = data.sigma()
-
-    def resid(p):
-        return (model(x, *p) - y) / sig
-
-    # no gradient test: it is absolute, so it would stop a fit of tiny counts at p0
-    res = least_squares(resid, p0, bounds=(lower, upper),
-                        xtol=1e-15, ftol=1e-15, gtol=None, max_nfev=2000)
-    if not res.success:
-        raise FitError(f"fit did not converge: {res.message} (residual {np.sum(res.fun**2):.3g})")
-    dof = max(len(y) - len(p0), 1)
-    chi2 = float(np.sum(res.fun**2))
-    jtj = res.jac.T @ res.jac
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    p = np.clip(np.asarray(p0, dtype=float), lower, upper)
+    r, lam = (model(x, *p) - y) / sig, 1e-3
+    for _ in range(FIT_MAX_ITER):
+        j = jac(x, *p) / sig[:, None]
+        a, g = j.T @ j, j.T @ r
+        d = np.maximum(np.diag(a), np.finfo(float).tiny)
+        free = ~(((p <= lower) & (g > 0)) | ((p >= upper) & (g < 0)))
+        step = np.zeros_like(p)
+        step[free] = np.linalg.solve(a[np.ix_(free, free)] + lam * np.diag(d[free]), -g[free])
+        trial = np.clip(p + step, lower, upper)
+        scale = np.sqrt(d)
+        small = np.linalg.norm(scale * (trial - p)) <= FIT_XTOL * np.linalg.norm(scale * p)
+        r_trial = (model(x, *trial) - y) / sig
+        if r_trial @ r_trial < r @ r:
+            p, r, lam = trial, r_trial, lam / 10.0
+        else:
+            lam *= 10.0
+        if small:
+            break
+    else:
+        raise FitError(f"fit did not converge in {FIT_MAX_ITER} iterations "
+                       f"(residual {r @ r:.3g})")
+    j = jac(x, *p) / sig[:, None]
     try:
-        cov = np.linalg.inv(jtj)
+        cov = np.linalg.inv(j.T @ j)
     except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(jtj)
+        cov = np.linalg.pinv(j.T @ j)
     errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return FitResult(
-        params=dict(zip(names, (float(v) for v in res.x))),
+        params=dict(zip(names, (float(v) for v in p))),
         std_errors=dict(zip(names, (float(e) for e in errs))),
-        reduced_chi2=chi2 / dof,
+        reduced_chi2=float(r @ r) / max(len(y) - len(p0), 1),
         covariance=cov,
     )
 
@@ -113,7 +146,7 @@ def fit_dip(data: ScanData) -> FitResult:
     w0 = float(below.max() - below.min()) if below.size >= 2 else (x.max() - x.min()) / 4.0
     w0 = max(w0, 1e-3)
     p0 = [ymax, min(v0, 1.0), tau0, w0]
-    result = _run_fit(data, dip_model, ("R0", "V", "tau0", "w"), p0,
+    result = _run_fit(data, dip_model, _dip_jac, ("R0", "V", "tau0", "w"), p0,
                       lower=[0.0, 0.0, -np.inf, 1e-9], upper=[np.inf, 1.0, np.inf, np.inf])
     # for the dip model the contrast parameter already is (Rmax-Rmin)/Rmax
     result.params["visibility"] = result.params["V"]
@@ -133,7 +166,7 @@ def fit_fringe(data: ScanData) -> FitResult:
     v0 = (ymax - ymin) / ymax
     theta0 = float(x[np.argmin(y)]) % 90.0
     p0 = [ymax + ymin, min(v0, 1.0), theta0]
-    result = _run_fit(data, fringe_model, ("R0", "V", "theta0"), p0,
+    result = _run_fit(data, fringe_model, _fringe_jac, ("R0", "V", "theta0"), p0,
                       lower=[0.0, 0.0, -90.0], upper=[np.inf, 1.0, 180.0])
     # contrast in the (Rmax-Rmin)/Rmax convention used for the rate budgets
     v = result.params["V"]

@@ -20,16 +20,16 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
-from scipy.optimize import brentq
 
 from . import config as cfgmod
 
+C_LIGHT = 299_792_458.0  # m/s, exact by the SI definition
 LAMBDA_MIN_NM = 400.0
 LAMBDA_MAX_NM = 2000.0
 # signal grid, around degeneracy, that tuning_curve searches for roots of delta_k
 TUNING_HALFWIDTH_NM = 200.0
 TUNING_STEP_NM = 0.25
+TUNING_TOL_NM = 1e-9  # bracket width at which a tuning-curve root is final
 
 
 class NoPhaseMatchingError(RuntimeError):
@@ -175,22 +175,18 @@ def find_degenerate_period(
 ) -> float:
     """Poling period (um) with delta_k = 0 at degeneracy lam_s = lam_i = 2*lam_p.
 
-    Brent's method on Lambda; delta_k is monotone in 1/Lambda so the root
-    is unique inside a sign-changing bracket.
+    delta_k is linear in 1/Lambda, so the root is closed form:
+    Lambda = 1/(n_p/l_p - n_s/l_s - n_i/l_i). It must lie inside the bracket.
     """
-    lam_deg = 2.0 * pump_nm
-
-    def mismatch(period):
-        cfg = QpmConfig(period, temp_c, pump_nm)
-        return delta_k(cfg, model, lam_deg)
-
-    lo, hi = bracket
-    if mismatch(lo) * mismatch(hi) > 0:
+    # an infinite period drops the grating term, leaving the material mismatch
+    material = delta_k(QpmConfig(np.inf, temp_c, pump_nm), model, 2.0 * pump_nm)
+    period = 2.0 * np.pi / material if material > 0 else np.inf
+    if not bracket[0] <= period <= bracket[1]:
         raise NoPhaseMatchingError(
             f"no phase-matching solution for pump {pump_nm} nm at {temp_c} degC "
             f"in Lambda bracket {bracket} um"
         )
-    return brentq(mismatch, lo, hi)
+    return float(period)
 
 
 @dataclass(frozen=True)
@@ -254,16 +250,32 @@ def tuning_curve(
     hi = min(hi, LAMBDA_MAX_NM)
     grid = np.arange(lo, hi, TUNING_STEP_NM)
 
-    rows = []
-    for temp in np.atleast_1d(temperatures):
-        tcfg = replace(cfg, temperature_c=float(temp))
-        vals = delta_k(tcfg, model, grid)
-        sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-        for i in sign_change:
-            root = brentq(lambda ls: delta_k(tcfg, model, ls), grid[i], grid[i + 1])
-            lam_i = idler_wavelength(cfg.pump_wavelength_nm, root)
-            rows.append((float(temp), float(root), float(lam_i), abs(root - lam_i) < 0.5))
-    return rows
+    # one (temperature x signal) grid; delta_k is elementwise, so it broadcasts
+    temps = np.atleast_1d(np.asarray(temperatures, dtype=float))
+    vals = delta_k(replace(cfg, temperature_c=temps[:, None]), model, grid)
+    t, i = np.nonzero(np.diff(np.sign(vals), axis=1) != 0)
+    at_t = replace(cfg, temperature_c=temps[t])
+    roots = _polish_roots(lambda ls: delta_k(at_t, model, ls),
+                          grid[i], grid[i + 1], vals[t, i], vals[t, i + 1])
+    idlers = idler_wavelength(cfg.pump_wavelength_nm, roots)
+    return [(float(temp), float(root), float(lam_i), bool(abs(root - lam_i) < 0.5))
+            for temp, root, lam_i in zip(temps[t], roots, idlers)]
+
+
+def _polish_roots(f, a, b, fa, fb) -> np.ndarray:
+    """Roots of f in many sign-changing brackets [a, b] at once, by regula
+    falsi with the Illinois rule: an end point kept twice in a row has its
+    value halved, so both ends close in on the root."""
+    for _ in range(100):
+        active = (np.abs(b - a) > TUNING_TOL_NM) & (fb != 0)
+        if not active.any():
+            return b
+        c = np.where(active, b - fb * (b - a) / np.where(active, fb - fa, 1.0), b)
+        fc = np.where(active, f(c), fb)
+        flip = np.sign(fc) * np.sign(fb) < 0  # the root now lies between b and c
+        a, fa = np.where(flip, b, a), np.where(flip, fb, np.where(active, 0.5 * fa, fa))
+        b, fb = c, fc
+    raise NoPhaseMatchingError("tuning-curve roots did not converge in 100 passes")
 
 
 # ---------------------------------------------------------------------------

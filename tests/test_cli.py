@@ -184,8 +184,12 @@ def test_missing_config_is_machine_readable_error(capsys):
     ("rates", "mc.windows = 2000000", "mc.windows = 0", "mc.windows"),
     ("rates", "source.window_ns = 1.5", "source.window_ns = 0", "window_ns"),
     ("rates", "losses.split = 0.5", "losses.split = 1.5", "losses.split"),
+    ("rates", "rates.target_singles_a_cps = 85000", "rates.target_singles_a_cps = 1e9",
+     "rates.target_singles_a_cps"),
+    ("rates", "detector.b.efficiency = 0.10", "detector.b.efficiency = 0",
+     "detector.b.efficiency"),
 ], ids=["typo_key", "zero_t_step", "efficiency", "accidental_fraction", "zero_mc_windows",
-        "zero_window_ns", "loss_split"])
+        "zero_window_ns", "loss_split", "unreachable_singles_target", "zero_efficiency_b"])
 def test_bad_config_value_fails_cleanly(capsys, tmp_path, command, old, new, named):
     cfg = write_config(tmp_path, {old: new})
     code, _, err = run_cli(capsys, command, "--no-mc", "--config", cfg)
