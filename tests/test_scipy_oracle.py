@@ -38,11 +38,6 @@ def test_degenerate_period_matches_brentq(model, pump_nm, temp_c):
         expected, rel=1e-12)
 
 
-def test_degenerate_period_outside_bracket_raises(model):
-    with pytest.raises(spdc.NoPhaseMatchingError):
-        spdc.find_degenerate_period(model, 655.0, 96.8, bracket=(4.0, 6.0))
-
-
 def _brentq_tuning_curve(cfg, model, temperatures):
     """The per-root brentq tuning curve, on the same signal grid as spdc."""
     lam_deg = 2.0 * cfg.pump_wavelength_nm

@@ -117,6 +117,8 @@ def test_offset_perturbation_shifts_period_monotonically(calibrated):
 def test_no_phase_matching_raises(model):
     with pytest.raises(spdc.NoPhaseMatchingError):
         find_degenerate_period(model, 655, 96.8, bracket=(15.0, 20.0))
+    with pytest.raises(spdc.NoPhaseMatchingError):  # the period lies above the bracket
+        find_degenerate_period(model, 655, 96.8, bracket=(4.0, 6.0))
 
 
 def test_calibration_fixed_point(calibrated):
