@@ -26,7 +26,7 @@ windows are tallied by one bincount over their outcome codes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import exp, factorial
 
 import numpy as np
@@ -206,10 +206,9 @@ def calibrate_losses(
     the fitted per-arm decomposition is reported as a calibration result,
     not as a derived prediction.
 
-    Both steps are closed form in the single-pair model of `expected_rates`:
-    Alice's singles are quadratic in q_a, and at fixed q_a the coincidences
-    are quadratic and increasing in q_b on [0, 1]. Each loss must lie in
-    [0, 60] dB.
+    Closed form in the single-pair model of `expected_rates`: Alice's singles
+    are quadratic in q_a, then the coincidences are quadratic in q_b. Each
+    loss must lie in [0, 60] dB.
     """
     p_pair = min(mean_pairs_per_window(budget), 1.0)
     d_a = _dark_prob(det_a, budget.window_ns)
@@ -253,13 +252,8 @@ def _arm_loss_db(lin: float, quad: float, y: float, efficiency: float,
 
 def _with_arm_losses(budget: SourceBudget, loss_a_db: float, loss_b_db: float) -> SourceBudget:
     total = loss_a_db + loss_b_db
-    split = loss_a_db / total if total > 0 else 0.5
-    return SourceBudget(
-        budget.brightness_pairs_per_s_ghz_mw, budget.pump_power_mw,
-        budget.filter_bandwidth_ghz, budget.window_ns,
-        channel_loss_db=total, loss_split=split,
-        bs_separation_prob=budget.bs_separation_prob,
-    )
+    return replace(budget, channel_loss_db=total,
+                   loss_split=loss_a_db / total if total > 0 else 0.5)
 
 
 def _chunk_counts(seed: int, chunk_index: int, n: int, budget: SourceBudget,

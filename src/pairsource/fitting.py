@@ -84,12 +84,9 @@ def _fringe_jac(theta, r0, v, theta0):
 
 
 def _run_fit(data: ScanData, model, jac, names, p0, lower, upper) -> FitResult:
-    """Levenberg-Marquardt fit of model to the weighted counts on the box
-    [lower, upper]. The damping lam * diag(J^T J) makes the step invariant
-    to parameter scales; a parameter at a bound whose gradient points out of
-    the box is held for the step, and each trial is projected onto the box.
-    It stops once a step, taken or refused, is below FIT_XTOL relative to p
-    in the diag(J^T J) norm; each refusal raises lam, so the steps shrink."""
+    """Levenberg-Marquardt on the box [lower, upper], damped by lam * diag(J^T J).
+    A parameter on a bound whose gradient points outward is held, each trial is
+    clipped to the box, and a step (taken or refused) below FIT_XTOL ends it."""
     x = np.asarray(data.x, dtype=float)
     y = np.asarray(data.counts, dtype=float)
     sig = data.sigma()
@@ -104,8 +101,7 @@ def _run_fit(data: ScanData, model, jac, names, p0, lower, upper) -> FitResult:
         step = np.zeros_like(p)
         step[free] = np.linalg.solve(a[np.ix_(free, free)] + lam * np.diag(d[free]), -g[free])
         trial = np.clip(p + step, lower, upper)
-        scale = np.sqrt(d)
-        small = np.linalg.norm(scale * (trial - p)) <= FIT_XTOL * np.linalg.norm(scale * p)
+        small = d @ (trial - p) ** 2 <= FIT_XTOL**2 * (d @ p**2)  # in the diag(J^T J) norm
         r_trial = (model(x, *trial) - y) / sig
         if r_trial @ r_trial < r @ r:
             p, r, lam = trial, r_trial, lam / 10.0
@@ -116,11 +112,10 @@ def _run_fit(data: ScanData, model, jac, names, p0, lower, upper) -> FitResult:
     else:
         raise FitError(f"fit did not converge in {FIT_MAX_ITER} iterations "
                        f"(residual {r @ r:.3g})")
-    j = jac(x, *p) / sig[:, None]
-    try:
-        cov = np.linalg.inv(j.T @ j)
+    try:  # a, from the last pass, is J^T J at p to within a step of FIT_XTOL
+        cov = np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(j.T @ j)
+        cov = np.linalg.pinv(a)
     errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return FitResult(
         params=dict(zip(names, (float(v) for v in p))),

@@ -29,11 +29,11 @@ LAMBDA_MAX_NM = 2000.0
 # signal grid, around degeneracy, that tuning_curve searches for roots of delta_k
 TUNING_HALFWIDTH_NM = 200.0
 TUNING_STEP_NM = 0.25
-TUNING_TOL_NM = 1e-9  # bracket width at which a tuning-curve root is final
+TUNING_BISECTIONS = 28  # halvings that take a TUNING_STEP_NM bracket below 1e-9 nm
 
 
 class NoPhaseMatchingError(RuntimeError):
-    """No sign change of delta_k in the search bracket."""
+    """No poling period in the search bracket phase-matches the pump."""
 
 
 class FilterOverlapError(ValueError):
@@ -254,28 +254,18 @@ def tuning_curve(
     temps = np.atleast_1d(np.asarray(temperatures, dtype=float))
     vals = delta_k(replace(cfg, temperature_c=temps[:, None]), model, grid)
     t, i = np.nonzero(np.diff(np.sign(vals), axis=1) != 0)
+    # bisect every sign-changing bracket [a, b] at once
     at_t = replace(cfg, temperature_c=temps[t])
-    roots = _polish_roots(lambda ls: delta_k(at_t, model, ls),
-                          grid[i], grid[i + 1], vals[t, i], vals[t, i + 1])
+    a, b, f_a = grid[i], grid[i + 1], vals[t, i]
+    for _ in range(TUNING_BISECTIONS):
+        mid = 0.5 * (a + b)
+        f_mid = delta_k(at_t, model, mid)
+        left = np.sign(f_mid) == np.sign(f_a)  # the root lies right of mid
+        a, b, f_a = np.where(left, mid, a), np.where(left, b, mid), np.where(left, f_mid, f_a)
+    roots = 0.5 * (a + b)
     idlers = idler_wavelength(cfg.pump_wavelength_nm, roots)
     return [(float(temp), float(root), float(lam_i), bool(abs(root - lam_i) < 0.5))
             for temp, root, lam_i in zip(temps[t], roots, idlers)]
-
-
-def _polish_roots(f, a, b, fa, fb) -> np.ndarray:
-    """Roots of f in many sign-changing brackets [a, b] at once, by regula
-    falsi with the Illinois rule: an end point kept twice in a row has its
-    value halved, so both ends close in on the root."""
-    for _ in range(100):
-        active = (np.abs(b - a) > TUNING_TOL_NM) & (fb != 0)
-        if not active.any():
-            return b
-        c = np.where(active, b - fb * (b - a) / np.where(active, fb - fa, 1.0), b)
-        fc = np.where(active, f(c), fb)
-        flip = np.sign(fc) * np.sign(fb) < 0  # the root now lies between b and c
-        a, fa = np.where(flip, b, a), np.where(flip, fb, np.where(active, 0.5 * fa, fa))
-        b, fb = c, fc
-    raise NoPhaseMatchingError("tuning-curve roots did not converge in 100 passes")
 
 
 # ---------------------------------------------------------------------------

@@ -125,17 +125,25 @@ def test_rates_linear_in_pump_power():
 
 
 def test_calibrated_losses_hit_rate_targets():
-    budget = paper_budget(channel_loss_db=0.0)
-    cal = calibrate_losses(budget, DET_A, DET_B, 85_000.0, 450.0)
-    fitted = SourceBudget(
-        budget.brightness_pairs_per_s_ghz_mw, budget.pump_power_mw,
-        budget.filter_bandwidth_ghz, budget.window_ns,
-        channel_loss_db=cal["implied_total_db"],
-        loss_split=cal["loss_a_db"] / cal["implied_total_db"],
-    )
-    rates = expected_rates(fitted, DET_A, DET_B)
-    assert rates.singles_a == pytest.approx(85_000.0, rel=1e-6)
-    assert rates.coincidences == pytest.approx(450.0, rel=1e-6)
+    # calibrate_losses solves its own closed form of the expected_rates model;
+    # the round trip through expected_rates ties the two together
+    det_b_free = DetectorParams(0.10, 1e-5, "free_running")
+    for det_b, sep, (singles, coinc) in [(DET_B, 0.5, (85_000.0, 450.0)),
+                                         (det_b_free, 0.5, (85_000.0, 450.0)),
+                                         (DET_B, 0.3, (40_000.0, 60.0)),
+                                         (DET_B, 1.0, (150_000.0, 2000.0))]:
+        budget = paper_budget(channel_loss_db=0.0, bs_separation_prob=sep)
+        cal = calibrate_losses(budget, DET_A, det_b, singles, coinc)
+        fitted = SourceBudget(
+            budget.brightness_pairs_per_s_ghz_mw, budget.pump_power_mw,
+            budget.filter_bandwidth_ghz, budget.window_ns,
+            channel_loss_db=cal["implied_total_db"],
+            loss_split=cal["loss_a_db"] / cal["implied_total_db"],
+            bs_separation_prob=sep,
+        )
+        rates = expected_rates(fitted, DET_A, det_b)
+        assert rates.singles_a == pytest.approx(singles, rel=1e-9)
+        assert rates.coincidences == pytest.approx(coinc, rel=1e-9)
 
 
 def test_calibrated_losses_exceed_declared_budget():
