@@ -1,15 +1,15 @@
 """Cold-start and warm wall time of every pairsource subcommand.
 
-    python3 tools/cold_start.py [--src DIR] [--runs 7] [--warm-runs 5]
+    python3 tools/cold_start.py [--src DIR]
 
 Cold: each of the six subcommands, with --no-mc and with Monte Carlo, runs
 as a fresh `python -m pairsource.cli` process; the table gives the median
-wall time of --runs processes. The runs go round-robin over the commands, so
+wall time of RUNS processes. The runs go round-robin over the commands, so
 that every command meets the same host speed. Two reference rows time
 `python -c pass` and a bare `import pairsource.cli`.
 
 Warm: one process imports pairsource.cli, runs each command once untimed,
-then times --warm-runs in-process calls of `cli.main` and reports the median.
+then times WARM_RUNS in-process calls of `cli.main` and reports the median.
 
 --src selects the source tree to import (default: this repo's src), so one
 copy of this script can time two commits. Only the standard library is used
@@ -29,6 +29,8 @@ import sys
 import time
 from pathlib import Path
 
+RUNS = 9  # cold processes per command
+WARM_RUNS = 7  # timed in-process calls per command
 COMMANDS = ("qpm", "spectrum", "hom", "bell", "chsh", "rates")
 MODES = {"--no-mc": ["--no-mc"], "mc": []}
 REFERENCE = {"python -c pass": "pass", "import pairsource.cli": "import pairsource.cli"}
@@ -65,11 +67,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(here.parent / "src"),
                         help="source tree that holds the pairsource package")
-    parser.add_argument("--runs", type=int, default=7, help="cold processes per command")
-    parser.add_argument("--warm-runs", type=int, default=5, help="timed in-process calls")
     args = parser.parse_args(argv)
-    if args.runs < 1 or args.warm_runs < 1:
-        parser.error("--runs and --warm-runs must be >= 1")
 
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -81,17 +79,17 @@ def main(argv=None) -> int:
             cold_cmds[(command, mode)] = [py, "-m", "pairsource.cli", *_argv(command, mode)]
 
     cold = {key: [] for key in cold_cmds}
-    for _ in range(args.runs):
+    for _ in range(RUNS):
         for key, cmd in cold_cmds.items():
             cold[key].append(_wall(cmd, env))
     warm_argvs = [_argv(c, m) for c in COMMANDS for m in MODES]
-    out = subprocess.run([py, "-c", WARM_CODE, str(args.warm_runs), json.dumps(warm_argvs)],
+    out = subprocess.run([py, "-c", WARM_CODE, str(WARM_RUNS), json.dumps(warm_argvs)],
                          env=env, check=True, capture_output=True, text=True, timeout=600)
     warm = json.loads(out.stdout)
 
     print(f"# {platform.processor() or platform.machine()}, {os.cpu_count()} CPUs, "
           f"Python {platform.python_version()}; src {args.src}")
-    print(f"# cold: median of {args.runs} processes; warm: median of {args.warm_runs} calls")
+    print(f"# cold: median of {RUNS} processes; warm: median of {WARM_RUNS} calls")
     print("| command | cold --no-mc (s) | cold mc (s) | warm --no-mc (ms) | warm mc (ms) |")
     print("|---|---|---|---|---|")
     for name in REFERENCE:
