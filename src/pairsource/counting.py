@@ -18,9 +18,10 @@ agree to Poisson statistics:
 
 RNG is counter-based (numpy Philox), keyed per fixed-size window chunk,
 so tallies are independent of how chunks are partitioned across workers.
-Each window draws 3 uniforms (pair number, dark A, dark B) plus 4 per
-emitted pair (splitter, detection 1, detection 2, interference), and the
-windows are tallied by one bincount over their outcome codes.
+Each chunk makes one multinomial draw of its windows over the cells (pair
+number, dark A, dark B) and tallies pair-free windows from their cells;
+only windows holding pairs are expanded, drawing 4 uniforms per emitted
+pair (splitter, detection 1, detection 2, interference).
 """
 
 from __future__ import annotations
@@ -150,8 +151,7 @@ def expected_rates(
     q_a = budget.transmission_a * det_a.efficiency
     q_b = budget.transmission_b * det_b.efficiency
     q_b_int = q_b * interference_prob
-    d_a = _dark_prob(det_a, budget.window_ns)
-    d_b = _dark_prob(det_b, budget.window_ns)
+    d_a, d_b = _dark_prob(det_a, budget.window_ns), _dark_prob(det_b, budget.window_ns)
     sep = budget.bs_separation_prob
 
     # (probability of case, P(photon click a | case), P(photon click b | case))
@@ -211,8 +211,7 @@ def calibrate_losses(
     loss must lie in [0, 60] dB.
     """
     p_pair = min(mean_pairs_per_window(budget), 1.0)
-    d_a = _dark_prob(det_a, budget.window_ns)
-    d_b = _dark_prob(det_b, budget.window_ns)
+    d_a, d_b = _dark_prob(det_a, budget.window_ns), _dark_prob(det_b, budget.window_ns)
     sep, bunched = budget.bs_separation_prob, (1.0 - budget.bs_separation_prob) / 2.0
     p_click_a = target_singles_a * budget.window_ns * 1e-9
     # singles: P(click a) - d_a = (1 - d_a) * p * (q_a - bunched * q_a^2)
@@ -262,46 +261,47 @@ def _chunk_counts(seed: int, chunk_index: int, n: int, budget: SourceBudget,
     """Outcome counts of one chunk of n windows, indexed by the window code
     click_a + 2*click_b + 4*true (a true coincidence implies both clicks).
 
-    The chunk's Philox stream, keyed [seed, chunk_index], gives an (n, 3)
-    block (pair number, dark A, dark B) and then, for each pair slot k, an
-    (m_k, 4) block (separation, detection 1, detection 2, interference) for
-    the m_k windows holding more than k pairs.
+    The chunk's Philox stream, keyed [seed, chunk_index], first splits the n
+    windows over the cells (pair number k, dark A + 2*dark B) in one
+    multinomial draw, which is exact since windows are exchangeable and only
+    tallies leave the chunk. Pair slot k then draws an (m_k, 4) block
+    (separation, detection 1, detection 2, interference) for the m_k windows
+    holding more than k pairs, a prefix when laid out by descending k.
     """
     mu = mean_pairs_per_window(budget)
     q_a = budget.transmission_a * det_a.efficiency
     q_b = budget.transmission_b * det_b.efficiency
     sep = budget.bs_separation_prob
+    pmf = (np.array([exp(-mu) * mu**i / factorial(i) for i in range(MAX_PAIRS + 1)])
+           if allow_double_pairs else np.array([1.0 - min(mu, 1.0), min(mu, 1.0)]))
+    pmf[-1] += max(0.0, 1.0 - pmf.sum())  # truncated Poisson: the tail joins MAX_PAIRS
+    d_a, d_b = _dark_prob(det_a, budget.window_ns), _dark_prob(det_b, budget.window_ns)
+    darks = np.outer([1.0 - d_b, d_b], [1.0 - d_a, d_a]).ravel()
     gen = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
-    u = gen.random((n, 3))
-    if allow_double_pairs:  # truncated Poisson pair number
-        pmf = np.array([exp(-mu) * mu**i / factorial(i) for i in range(MAX_PAIRS + 1)])
-        pmf[-1] += max(0.0, 1.0 - pmf.sum())
-        n_pairs = np.searchsorted(np.cumsum(pmf), u[:, 0], side="left")
-    else:
-        n_pairs = (u[:, 0] < min(mu, 1.0)).astype(np.int64)
+    cells = gen.multinomial(n, np.outer(pmf, darks).ravel()).reshape(-1, 4)
 
-    ph_a = np.zeros(n, dtype=bool)
-    ph_b = np.zeros(n, dtype=bool)
-    true_pair = np.zeros(n, dtype=bool)
-    for k in range(min(int(n_pairs.max()), MAX_PAIRS)):
-        idx = np.flatnonzero(n_pairs > k)
-        u_sep, u_d1, u_d2, u_int = gen.random((idx.size, 4)).T
+    occupied = cells[:0:-1]  # windows holding pairs, by descending pair number
+    dark = np.repeat(np.tile(np.arange(4, dtype=np.uint8), len(occupied)), occupied.ravel())
+    ph_a, ph_b, true_pair = np.zeros((3, dark.size), dtype=bool)
+    held = np.cumsum(occupied.sum(axis=1))[::-1]  # held[k]: windows with more than k pairs
+    for m in held[held > 0]:
+        u_sep, u_d1, u_d2, u_int = gen.random((m, 4)).T
         split = u_sep < sep
         both_a = ~split & (u_sep < sep + (1 - sep) / 2)
         both_b = ~split & ~both_a
         # split: photon 1 -> Alice, photon 2 -> Bob (interference veto on Bob)
         det1_split = split & (u_d1 < q_a)
         det2_split = split & (u_d2 < q_b) & (u_int < interference_prob)
-        ph_a[idx] |= det1_split | (both_a & ((u_d1 < q_a) | (u_d2 < q_a)))
-        ph_b[idx] |= det2_split | (both_b & ((u_d1 < q_b) | (u_d2 < q_b)))
-        true_pair[idx] |= det1_split & det2_split
+        ph_a[:m] |= det1_split | (both_a & ((u_d1 < q_a) | (u_d2 < q_a)))
+        ph_b[:m] |= det2_split | (both_b & ((u_d1 < q_b) | (u_d2 < q_b)))
+        true_pair[:m] |= det1_split & det2_split
 
-    click_a = ph_a | (u[:, 1] < _dark_prob(det_a, budget.window_ns))
-    click_b = ph_b | (u[:, 2] < _dark_prob(det_b, budget.window_ns))
-    if det_b.mode == "gated":
-        click_b &= click_a
-    code = click_a.view(np.uint8) + 2 * click_b.view(np.uint8) + 4 * true_pair.view(np.uint8)
-    return np.bincount(code, minlength=8)
+    # clicks (click_a + 2*click_b) -> code; a gated Bob clicks only with Alice
+    gate = np.array([0, 1, 0 if det_b.mode == "gated" else 2, 3], dtype=np.uint8)
+    clicks = (ph_a.view(np.uint8) + 2 * ph_b.view(np.uint8)) | dark
+    counts = np.bincount(gate[clicks] + 4 * true_pair.view(np.uint8), minlength=8)
+    np.add.at(counts, gate, cells[0])  # pair-free windows click by dark counts only
+    return counts
 
 
 def simulate_counts(

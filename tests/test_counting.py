@@ -163,12 +163,13 @@ def _mc_vs_analytic(budget, det_a, det_b, seed, n_windows=1_000_000):
     window_s = budget.window_ns * 1e-9
     p_coinc = rates.coincidences * window_s
     p_click_a = rates.singles_a * window_s
+    p_click_b = rates.singles_b * window_s  # gated: equals p_coinc
     checks = [
         ("coincidence", run.tallies["coincidence"], p_coinc),
         ("a_only", run.tallies["a_only"], p_click_a - p_coinc),
+        ("no_click", run.tallies["no_click"], 1 - p_click_a - p_click_b + p_coinc),
     ]
     if det_b.mode == "free_running":
-        p_click_b = rates.singles_b * window_s
         checks.append(("b_only", run.tallies["b_only"], p_click_b - p_coinc))
     else:
         assert run.tallies["b_only"] == 0
@@ -206,6 +207,61 @@ def test_mc_matches_analytic_with_interference_veto():
     p = rates.coincidences * budget.window_ns * 1e-9
     sigma = np.sqrt(n * p * (1 - p))
     assert abs(run.tallies["coincidence"] - n * p) <= 3 * sigma + 1
+
+
+@pytest.mark.parametrize("mode", ["free_running", "gated"])
+def test_mc_matches_analytic_heavy_dark_counts(mode):
+    # ~0.1 dark clicks per window: most clicks come from pair-free windows,
+    # which the sampler tallies from their multinomial cells
+    det_a = DetectorParams(0.3, 0.10 / 1.5)
+    det_b = DetectorParams(0.5, 0.12 / 1.5, mode)
+    _mc_vs_analytic(paper_budget(channel_loss_db=3.0), det_a, det_b, seed=13)
+
+
+def _tallies(no_click=0, a_only=0, b_only=0, coincidence=0):
+    return {"no_click": no_click, "a_only": a_only, "b_only": b_only,
+            "coincidence": coincidence}
+
+
+@pytest.mark.parametrize("double_pairs", [False, True], ids=["single_pair", "double_pair"])
+@pytest.mark.parametrize("n_windows", [1, CHUNK + 3])
+def test_mc_without_pairs_or_darks_never_clicks(double_pairs, n_windows):
+    det = DetectorParams(0.5, 0.0)
+    budget = paper_budget(pump_power_mw=0.0)  # mu = 0: no chunk holds a pair
+    run = simulate_counts(budget, det, DetectorParams(0.5, 0.0, "gated"),
+                          n_windows=n_windows, seed=1, allow_double_pairs=double_pairs)
+    assert run.tallies == _tallies(no_click=n_windows)
+    assert run.details == {"true_coincidences": 0, "accidental_coincidences": 0}
+
+
+@pytest.mark.parametrize("n_windows", [1, 2 * CHUNK])
+def test_mc_pair_in_every_window(n_windows):
+    # single-pair mode with mu >= 1 has no pair-free cells; lossless, always
+    # split and dark-free, every window is a true coincidence
+    det = DetectorParams(1.0, 0.0)
+    budget = paper_budget(pump_power_mw=30.0, channel_loss_db=0.0, bs_separation_prob=1.0)
+    assert mean_pairs_per_window(budget) > 1
+    run = simulate_counts(budget, det, det, n_windows=n_windows, seed=2)
+    assert run.tallies == _tallies(coincidence=n_windows)
+    assert run.details["true_coincidences"] == n_windows
+
+
+@pytest.mark.parametrize("double_pairs", [False, True], ids=["single_pair", "double_pair"])
+@pytest.mark.parametrize("mode", ["free_running", "gated"])
+@pytest.mark.parametrize("dark", [1.0, 1 - 1e-12])
+def test_mc_dark_probability_near_one(double_pairs, mode, dark):
+    # nearly all of the multinomial mass sits in the both-dark cells; the
+    # cell probabilities must still sum to 1 within rounding
+    budget = paper_budget(channel_loss_db=0.0)
+    det_a = DetectorParams(0.5, dark / 1.5)
+    det_b = DetectorParams(0.5, dark / 1.5, mode)
+    n_windows = CHUNK + 1
+    run = simulate_counts(budget, det_a, det_b, n_windows=n_windows, seed=3,
+                          allow_double_pairs=double_pairs)
+    assert run.tallies == _tallies(coincidence=n_windows)
+    true_p = expected_rates(budget, det_a, det_b).breakdown["true_coincidences"] * 1.5e-9
+    sigma = np.sqrt(n_windows * true_p * (1 - true_p))
+    assert abs(run.details["true_coincidences"] - n_windows * true_p) <= 3 * sigma + 1
 
 
 def test_mc_seed_reproducibility():
