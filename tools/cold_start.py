@@ -4,9 +4,11 @@
 
 Cold: each of the six subcommands, with --no-mc and with Monte Carlo, runs
 as a fresh `python -m pairsource.cli` process; the table gives the median
-wall time of RUNS processes. The runs go round-robin over the commands, so
-that every command meets the same host speed. Two reference rows time
-`python -c pass` and a bare `import pairsource.cli`.
+wall time of RUNS processes and, next to it, their median count of minor
+page faults (the `ru_minflt` that `getrusage(RUSAGE_CHILDREN)` gains over
+each process). The runs go round-robin over the commands, so that every
+command meets the same host speed. Two reference rows time `python -c pass`
+and a bare `import pairsource.cli`.
 
 Warm: one process imports pairsource.cli, runs each command once untimed,
 then times WARM_RUNS in-process calls of `cli.main` and reports the median.
@@ -23,6 +25,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -56,10 +59,15 @@ def _argv(command: str, mode: str) -> list[str]:
     return [command, "--no-timestamp", *MODES[mode]]
 
 
-def _wall(cmd: list[str], env: dict) -> float:
+def _wall(cmd: list[str], env: dict) -> tuple[float, int]:
+    """Wall time and minor page faults of one process running cmd."""
+    faults0 = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     t0 = time.perf_counter()
-    subprocess.run(cmd, env=env, check=True, stdout=subprocess.DEVNULL, timeout=300)
-    return time.perf_counter() - t0
+    # no timeout: with one, the wait polls with sleeps of up to 50 ms, which
+    # rounds every wall time up to the next poll
+    subprocess.run(cmd, env=env, check=True, stdout=subprocess.DEVNULL)
+    wall = time.perf_counter() - t0
+    return wall, resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults0
 
 
 def main(argv=None) -> int:
@@ -90,12 +98,18 @@ def main(argv=None) -> int:
     print(f"# {platform.processor() or platform.machine()}, {os.cpu_count()} CPUs, "
           f"Python {platform.python_version()}; src {args.src}")
     print(f"# cold: median of {RUNS} processes; warm: median of {WARM_RUNS} calls")
-    print("| command | cold --no-mc (s) | cold mc (s) | warm --no-mc (ms) | warm mc (ms) |")
-    print("|---|---|---|---|---|")
+    print("| command | cold --no-mc (s) | faults | cold mc (s) | faults "
+          "| warm --no-mc (ms) | warm mc (ms) |")
+    print("|---|---|---|---|---|---|---|")
+
+    def cold_cells(key) -> list[str]:
+        walls, faults = zip(*cold[key])
+        return [f"{statistics.median(walls):.3f}", f"{statistics.median(faults):.0f}"]
+
     for name in REFERENCE:
-        print(f"| `{name}` | {statistics.median(cold[name]):.3f} | | | |")
+        print(f"| `{name}` | " + " | ".join(cold_cells(name)) + " | | | | |")
     for c in COMMANDS:
-        cells = [f"{statistics.median(cold[(c, m)]):.3f}" for m in MODES]
+        cells = [cell for m in MODES for cell in cold_cells((c, m))]
         cells += [f"{1e3 * warm[' '.join(_argv(c, m))]:.1f}" for m in MODES]
         print(f"| `{c}` | " + " | ".join(cells) + " |")
     return 0
