@@ -151,7 +151,8 @@ def expected_rates(
     q_a = budget.transmission_a * det_a.efficiency
     q_b = budget.transmission_b * det_b.efficiency
     q_b_int = q_b * interference_prob
-    d_a, d_b = _dark_prob(det_a, budget.window_ns), _dark_prob(det_b, budget.window_ns)
+    d_a = _dark_prob(det_a, budget.window_ns)
+    d_b = _dark_prob(det_b, budget.window_ns)
     sep = budget.bs_separation_prob
 
     # (probability of case, P(photon click a | case), P(photon click b | case))
@@ -211,7 +212,8 @@ def calibrate_losses(
     loss must lie in [0, 60] dB.
     """
     p_pair = min(mean_pairs_per_window(budget), 1.0)
-    d_a, d_b = _dark_prob(det_a, budget.window_ns), _dark_prob(det_b, budget.window_ns)
+    d_a = _dark_prob(det_a, budget.window_ns)
+    d_b = _dark_prob(det_b, budget.window_ns)
     sep, bunched = budget.bs_separation_prob, (1.0 - budget.bs_separation_prob) / 2.0
     p_click_a = target_singles_a * budget.window_ns * 1e-9
     # singles: P(click a) - d_a = (1 - d_a) * p * (q_a - bunched * q_a^2)
@@ -279,7 +281,6 @@ def _chunk_counts(seed: int, chunk_index: int, n: int, budget: SourceBudget,
     darks = np.outer([1.0 - d_b, d_b], [1.0 - d_a, d_a]).ravel()
     gen = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
     cells = gen.multinomial(n, np.outer(pmf, darks).ravel()).reshape(-1, 4)
-
     occupied = cells[:0:-1]  # windows holding pairs, by descending pair number
     dark = np.repeat(np.tile(np.arange(4, dtype=np.uint8), len(occupied)), occupied.ravel())
     ph_a, ph_b, true_pair = np.zeros((3, dark.size), dtype=bool)
@@ -296,8 +297,7 @@ def _chunk_counts(seed: int, chunk_index: int, n: int, budget: SourceBudget,
         ph_b[:m] |= det2_split | (both_b & ((u_d1 < q_b) | (u_d2 < q_b)))
         true_pair[:m] |= det1_split & det2_split
 
-    # clicks (click_a + 2*click_b) -> code; a gated Bob clicks only with Alice
-    gate = np.array([0, 1, 0 if det_b.mode == "gated" else 2, 3], dtype=np.uint8)
+    gate = np.array([0, 1, 0 if det_b.mode == "gated" else 2, 3])  # gated Bob needs Alice's click
     clicks = (ph_a.view(np.uint8) + 2 * ph_b.view(np.uint8)) | dark
     counts = np.bincount(gate[clicks] + 4 * true_pair.view(np.uint8), minlength=8)
     np.add.at(counts, gate, cells[0])  # pair-free windows click by dark counts only
