@@ -14,7 +14,7 @@ JSON object or text. `main` alone builds the report and writes the files.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -49,16 +49,19 @@ def _json(obj) -> str:
 
 
 def _write(path: Path, content) -> None:
-    """Write one artifact: CSV columns `(header, *columns)`, a JSON object or text."""
+    """Write one artifact: CSV columns `(header, *columns)`, a JSON object or text.
+
+    CSV cells are numbers: a float gets 6 significant digits, any other value
+    its str(). Each column is formatted whole and the rows joined in one string.
+    """
     if isinstance(content, tuple):
         header, *columns = content
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in zip(*columns):
-                writer.writerow([f"{v:.6g}" if isinstance(v, float) else v for v in row])
-        return
-    path.write_text((_json(content) if isinstance(content, dict) else content) + "\n")
+        cells = [[f"{v:.6g}" if isinstance(v, float) else str(v)
+                  for v in (c.tolist() if isinstance(c, np.ndarray) else c)] for c in columns]
+        content = "\n".join(map(",".join, [header, *zip(*cells)]))
+    elif isinstance(content, dict):
+        content = _json(content)
+    path.write_text(content + "\n", encoding="utf-8", newline="")
 
 
 def _source(cfg):
@@ -308,7 +311,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on first use; each `parse_args` makes a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="pairsource",
         description="Simulator of a type-II waveguide polarization-entangled pair source",

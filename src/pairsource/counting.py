@@ -32,7 +32,8 @@ from math import exp, factorial
 
 import numpy as np
 
-C_LIGHT = 299_792_458.0  # m/s, exact by the SI definition
+from .spdc import C_LIGHT
+
 CHUNK = 1 << 14
 MAX_PAIRS = 6  # Poisson truncation when double-pair emission is enabled
 

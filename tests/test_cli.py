@@ -1,9 +1,15 @@
+import csv
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pairsource
 from pairsource import cli
 
 
@@ -67,6 +73,33 @@ def test_csv_conventions(capsys, tmp_path):
     header, first = raw.decode().splitlines()[:2]
     assert header == "lambda_nm,intensity_h,intensity_v"
     assert len(first.split(",")) == 3
+
+
+def _write_row_by_row(path, header, *columns):
+    """Oracle: the CSV writer before columns were formatted whole, one row at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([f"{v:.6g}" if isinstance(v, float) else v for v in row])
+
+
+_SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 1e300, 5e-324,
+                     123456.5, 999999.5, 1.0 / 3.0, -2.5e-7])
+_WIDE = (np.random.default_rng(16).normal(size=500)
+         * 10.0 ** np.random.default_rng(17).integers(-20, 21, 500))
+
+
+@pytest.mark.parametrize("table", [
+    (["x", "y", "flag"], _SPECIAL, tuple(float(v) for v in _SPECIAL[::-1]),
+     tuple(i % 2 for i in range(len(_SPECIAL)))),
+    (["a", "b", "n"], _WIDE, tuple(_WIDE[::-1]), np.arange(len(_WIDE)) * 99991),
+    (["temperature_c", "signal_nm", "idler_nm", "degenerate"],),
+], ids=["special_values", "wide_exponents", "header_only"])
+def test_csv_columns_match_row_by_row_oracle(tmp_path, table):
+    cli._write(tmp_path / "columns.csv", table)
+    _write_row_by_row(tmp_path / "rows.csv", *table)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 # --- hom -------------------------------------------------------------------
@@ -222,6 +255,22 @@ def test_bad_flag_value_fails_cleanly(capsys, flag, value, key):
 def test_net_flag_is_gone():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["bell", "--net"])
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    run_report(capsys, "bell", "--no-mc", "--no-timestamp", "--points", "7", "--seed", "3")
+    code, second, err = run_cli(capsys, "bell", "--no-mc", "--no-timestamp")
+    assert code == 0, err
+    src = str(Path(pairsource.__file__).resolve().parent.parent)
+    fresh = subprocess.run([sys.executable, "-m", "pairsource.cli", "bell", "--no-mc",
+                            "--no-timestamp"], env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, timeout=120)
+    assert fresh.returncode == 0, fresh.stderr
+    assert second == fresh.stdout
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bell", "--no-such-flag"])
+    assert exc.value.code == 2
 
 
 def test_partial_config_keeps_bundled_defaults(capsys, tmp_path):
