@@ -1,12 +1,12 @@
 """Op-by-op interleaved A/B of two source trees on one benchmark workload.
 
-    python3 tools/ab.py --parent DIR --change DIR --workload W --ops N [--seed S]
+    python3 tools/ab.py --parent DIR --change DIR --workload W --ops N
 
 Each DIR is the root of a source tree (a `git archive` of a commit, say).
 One long-lived process per tree imports that tree's own `benchmarks/run.py`
 and `benchmarks/workloads.py` and runs `OpRunner` ops of workload W, the op
-and its check, one at a time on request. Both processes get the same --seed,
-so op i has the same op seed on both sides. After one untimed warm-up op
+and its check, one at a time on request. Both processes get the same seed,
+SEED, so op i has the same op seed on both sides. After one untimed warm-up op
 each, the coordinator asks each side for one op in turn, N times, and
 alternates which side goes first. An op's time is what `OpRunner` returns:
 the op's wall time, with its check outside the timer.
@@ -31,6 +31,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+SEED = 1  # OpRunner seed of both sides
 WORKER_CODE = """
 import json, resource, shutil, sys, tempfile
 from pathlib import Path
@@ -97,12 +98,11 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, type=Path, help="changed source tree")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--ops", required=True, type=int, help="timed op pairs")
-    parser.add_argument("--seed", type=int, default=1, help="OpRunner seed, same on both sides")
     args = parser.parse_args(argv)
     if args.ops < 2:
         parser.error("--ops must be at least 2")
 
-    workers = {side: Worker(getattr(args, side).resolve(), args.workload, args.seed)
+    workers = {side: Worker(getattr(args, side).resolve(), args.workload, SEED)
                for side in SIDES}
     faster = 0
     try:
@@ -116,7 +116,7 @@ def main(argv=None) -> int:
         for worker in workers.values():
             worker.close()
 
-    record = {"workload": args.workload, "op_pairs": args.ops, "seed": args.seed,
+    record = {"workload": args.workload, "op_pairs": args.ops, "seed": SEED,
               "alternating_order": True, "change_faster_in_op_pairs": faster,
               **{side: _summary(workers[side]) for side in SIDES}}
     for side in SIDES:
