@@ -12,6 +12,7 @@ keys in INT_KEYS, which are int. A user file overlays any subset of it.
 from __future__ import annotations
 
 import difflib
+import math
 from collections.abc import Mapping
 from pathlib import Path
 from types import MappingProxyType
@@ -99,6 +100,9 @@ def load_experiment_config(path: str | Path | None,
         raise ConfigError(f"unknown config key {key!r}{suggestion}")
     cfg = {k: _convert(k, user.get(k, v), v) for k, v in manifest.items()}
     cfg.update(overrides)
+    for key, value in cfg.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"key {key}: must be finite, got {value!r}")
     for key, (ok, rule) in _RANGES.items():
         if not ok(cfg[key]):
             raise ConfigError(f"key {key}: {rule}, got {cfg[key]!r}")

@@ -37,7 +37,6 @@ class ScanData:
     x: tuple[float, ...]
     counts: tuple[float, ...]
     integration_time_s: float
-    net: bool = False
     variance: tuple[float, ...] | None = None  # raw-count variance for net data
 
     def __post_init__(self):
@@ -177,62 +176,40 @@ def net_correct(data: ScanData, accidental_rate: float) -> ScanData:
     acc = accidental_rate * data.integration_time_s
     corrected = tuple(max(c - acc, 0.0) for c in data.counts)
     variance = tuple(max(c, 1.0) for c in data.counts)
-    return replace(data, counts=corrected, net=True, variance=variance)
+    return replace(data, counts=corrected, variance=variance)
 
 
 # Alice HWP angles (deg) of the four fringes that the CHSH settings need
 ALICE_HWP_DEG = (0.0, 22.5, 45.0, 67.5)
 
 
-def _chsh_from_params(p: np.ndarray) -> float:
-    """S from the stacked parameters of the four fringe fits.
-
-    Fringe order: Alice HWP 0, 22.5, 45, 67.5 deg; 3 params each. The
-    settings are effective polarizer angles; each HWP sits at half of one.
-    """
-    fringe_by_alice = {hwp: p[3 * i: 3 * i + 3] for i, hwp in enumerate(ALICE_HWP_DEG)}
-
-    def corr(alpha, beta):
-        fa = fringe_by_alice[alpha / 2.0]
-        fp = fringe_by_alice[(alpha + 90.0) / 2.0]
-        b, b_perp = beta / 2.0, (beta + 90.0) / 2.0
-        return correlation_E([fringe_model(b, *fa), fringe_model(b_perp, *fa),
-                              fringe_model(b, *fp), fringe_model(b_perp, *fp)])
-
-    s = CANONICAL_SETTINGS_DEG
-    return chsh_S([corr(s["a"], s["b"]), corr(s["a"], s["b_prime"]),
-                   corr(s["a_prime"], s["b"]), corr(s["a_prime"], s["b_prime"])]).S
-
-
 def chsh_from_fits(fits: dict[float, FitResult]) -> ChshResult:
     """CHSH S from four fringe fits keyed by Alice's HWP angle (deg).
 
-    Evaluates the fitted fringe models at the canonical settings, forms the
-    correlations, and propagates the fit covariances to the S error.
+    Evaluates the fitted fringe models at the canonical settings (effective
+    polarizer angles; each HWP sits at half of one) and forms the correlations.
+    The fit covariances reach the S error by the chain rule: each E comes from
+    four rates r, dE/dr = (+-1 - E) / sum(r), and dr/dp is the fringe Jacobian.
     """
     missing = [a for a in ALICE_HWP_DEG if a not in fits]
     if missing:
         raise ValueError(f"missing fringe fits for Alice HWP angles {missing}")
-    p = np.concatenate([
-        [fits[a].params["R0"], fits[a].params["V"], fits[a].params["theta0"]]
-        for a in ALICE_HWP_DEG
-    ])
-    s = _chsh_from_params(p)
-
-    # block-diagonal covariance over the four independent fits
-    cov = np.zeros((12, 12))
-    for i, a in enumerate(ALICE_HWP_DEG):
-        cov[3 * i: 3 * i + 3, 3 * i: 3 * i + 3] = fits[a].covariance
-    grad = np.zeros(12)
-    for i in range(12):
-        # R0 (every third parameter) steps relative to itself: an absolute
-        # floor would drive a tiny fitted rate negative
-        h = 1e-6 * p[i] if i % 3 == 0 else max(1e-6, 1e-6 * abs(p[i]))
-        pp, pm = p.copy(), p.copy()
-        pp[i] += h
-        pm[i] -= h
-        grad[i] = (_chsh_from_params(pp) - _chsh_from_params(pm)) / (2 * h)
-    var = float(grad @ cov @ grad)
-    std = np.sqrt(max(var, 0.0))
-    n_sigma = (s - 2.0) / std if std > 0 else float("inf")
-    return ChshResult(S=float(s), std_error=float(std), n_sigma_violation=float(n_sigma))
+    p = {a: [fits[a].params[k] for k in ("R0", "V", "theta0")] for a in ALICE_HWP_DEG}
+    s = CANONICAL_SETTINGS_DEG
+    e, de_dp = [], []  # per correlation: E and {Alice angle: dE/d(R0, V, theta0)}
+    for alpha, beta in ((s["a"], s["b"]), (s["a"], s["b_prime"]),
+                        (s["a_prime"], s["b"]), (s["a_prime"], s["b_prime"])):
+        bob = np.array([beta, beta + 90.0]) / 2.0
+        alice = (alpha / 2.0, (alpha + 90.0) / 2.0)
+        rates = np.concatenate([fringe_model(bob, *p[a]) for a in alice])
+        e.append(correlation_E(rates))
+        de_dr = (np.array([1.0, -1.0, -1.0, 1.0]) - e[-1]) / rates.sum()
+        de_dp.append({a: de_dr[2 * k: 2 * k + 2] @ _fringe_jac(bob, *p[a])
+                      for k, a in enumerate(alice)})
+    # S = |E_ab - E_ab'| + |E_a'b + E_a'b'|; the four fits are independent
+    ds_de = np.sign([e[0] - e[1], e[1] - e[0], e[2] + e[3], e[2] + e[3]])
+    var = 0.0
+    for a in ALICE_HWP_DEG:
+        grad = sum(w * d[a] for w, d in zip(ds_de, de_dp) if a in d)
+        var += grad @ fits[a].covariance @ grad
+    return chsh_S(e, std_error=float(np.sqrt(max(var, 0.0))))

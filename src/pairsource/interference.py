@@ -29,37 +29,36 @@ class Wavepacket:
             raise ValueError("coherence time must be positive")
 
 
-def mode_overlap(wp: Wavepacket, delay_ps: float) -> float:
-    """Intensity overlap m(tau) = exp(-2 ln2 tau^2 / tau_coh^2).
+def mode_overlap(wp: Wavepacket, delay_ps):
+    """Intensity overlap m(tau) = exp(-2 ln2 tau^2 / tau_coh^2), elementwise.
 
     Even in tau, m(0) = 1, and the FWHM of m is sqrt(2) * tau_coh.
     """
     tau_c = wp.coherence_time_fwhm_ps
-    return float(np.exp(-2.0 * np.log(2.0) * (delay_ps / tau_c) ** 2))
+    return np.exp(-2.0 * np.log(2.0) * (np.asarray(delay_ps) / tau_c) ** 2)
 
 
-def hom_coincidence(alpha_deg: float, m: float, v0: float) -> float:
-    """Coincidence probability between the two PBS outputs at one user.
+def hom_coincidence(alpha_deg, m, v0):
+    """Coincidence probability between the two PBS outputs at one user, elementwise.
 
     Input state |H,V> analyzed at effective polarizer angle alpha, with
     intensity overlap m and intrinsic indistinguishability ceiling v0:
       P = (1 - v0*m)*(cos^4 a + sin^4 a) + v0*m*cos^2 2a
     """
     for name, x in (("m", m), ("v0", v0)):
-        if not 0.0 <= x <= 1.0:
+        if not np.all((np.asarray(x) >= 0.0) & (np.asarray(x) <= 1.0)):
             raise ValueError(f"{name} must be in [0, 1], got {x}")
     a = np.deg2rad(alpha_deg)
     p_dist = np.cos(a) ** 4 + np.sin(a) ** 4
     p_indist = np.cos(2.0 * a) ** 2
     vm = v0 * m
-    return float((1.0 - vm) * p_dist + vm * p_indist)
+    return (1.0 - vm) * p_dist + vm * p_indist
 
 
 @dataclass(frozen=True)
 class HomScan:
     delays_ps: tuple[float, ...]
     coincidence_probability: tuple[float, ...]
-    dip_fwhm_ps: float  # FWHM of the underlying dip: sqrt(2) times the coherence time
 
 
 def hom_scan(wp: Wavepacket, delays_ps, v0: float) -> HomScan:
@@ -67,13 +66,8 @@ def hom_scan(wp: Wavepacket, delays_ps, v0: float) -> HomScan:
     delays = np.asarray(list(delays_ps), dtype=float)
     if delays.size == 0:
         raise ValueError("delays must be non-empty")
-    probs = np.array([hom_coincidence(45.0, mode_overlap(wp, t), v0)
-                      for t in delays])
-    return HomScan(
-        delays_ps=tuple(delays),
-        coincidence_probability=tuple(probs),
-        dip_fwhm_ps=np.sqrt(2.0) * wp.coherence_time_fwhm_ps,
-    )
+    probs = hom_coincidence(45.0, mode_overlap(wp, delays), v0)
+    return HomScan(tuple(delays), tuple(probs))
 
 
 @dataclass(frozen=True)
@@ -81,7 +75,6 @@ class BellScan:
     alice_hwp_deg: float
     bob_hwp_values_deg: tuple[float, ...]
     coincidence_probability: tuple[float, ...]
-    basis_tag: str  # "HV" or "DA"
 
 
 def bell_scan(state_coherence: float, phi_rad: float, alice_hwp_deg: float,
@@ -91,8 +84,7 @@ def bell_scan(state_coherence: float, phi_rad: float, alice_hwp_deg: float,
     alpha = 2.0 * alice_hwp_deg
     bob = np.asarray(bob_hwp_values_deg, dtype=float)
     probs = tuple(coincidence_prob(rho, alpha, 2.0 * bob).tolist())
-    basis = "HV" if abs((alice_hwp_deg % 45.0)) < 1e-9 else "DA"
-    return BellScan(alice_hwp_deg, tuple(bob.tolist()), probs, basis)
+    return BellScan(alice_hwp_deg, tuple(bob.tolist()), probs)
 
 
 def fringe_visibility(probs) -> float:

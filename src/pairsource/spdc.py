@@ -15,7 +15,6 @@ operating point of the device.
 
 from __future__ import annotations
 
-import importlib.resources
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -107,9 +106,7 @@ class DispersionModel:
 
     @classmethod
     def default(cls) -> "DispersionModel":
-        ref = importlib.resources.files("pairsource").joinpath("data/lithium_niobate.cfg")
-        with importlib.resources.as_file(ref) as path:
-            return cls.from_file(path)
+        return cls.from_file(Path(__file__).resolve().parent / "data" / "lithium_niobate.cfg")
 
     def with_offset(self, pol: str, offset: float) -> "DispersionModel":
         new = dict(self.offsets)
@@ -205,26 +202,17 @@ class QpmAnchor:
 def calibrate_offsets(
     model: DispersionModel,
     anchor: QpmAnchor = QpmAnchor(),
-    pol: str = "V",
 ) -> DispersionModel:
-    """Adjust one polarization's index offset so the anchor is an exact QPM root.
+    """Adjust the V index offset so the anchor is an exact QPM root.
 
     The offset enters n linearly, so the correction is solved in closed form
     and verified; idempotent on an already-consistent model.
     """
     cfg = QpmConfig(anchor.poling_period_um, anchor.temperature_c, anchor.pump_wavelength_nm)
     dk0 = delta_k(cfg, model, anchor.degenerate_nm)
-    lam_um = anchor.degenerate_nm / 1000.0
-    pol = pol.upper()
-    if pol == "V":
-        # V enters the idler only: d(delta_k)/d(offset) = -2*pi/lam_i
-        d = dk0 * lam_um / (2.0 * np.pi)
-    elif pol == "H":
-        # H enters pump and signal: d(delta_k)/d(offset) = 2*pi*(1/lam_p - 1/lam_s)
-        d = -dk0 / (2.0 * np.pi * (1.0 / (anchor.pump_wavelength_nm / 1000.0) - 1.0 / lam_um))
-    else:
-        raise ValueError(f"polarization must be 'H' or 'V', got {pol!r}")
-    calibrated = model.with_offset(pol, model.offsets[pol] + d)
+    # V enters the idler only: d(delta_k)/d(offset) = -2*pi/lam_i
+    d = dk0 * (anchor.degenerate_nm / 1000.0) / (2.0 * np.pi)
+    calibrated = model.with_offset("V", model.offsets["V"] + d)
     residual = delta_k(cfg, calibrated, anchor.degenerate_nm)
     if abs(residual) > 1e-9:
         raise CalibrationError(f"calibration residual {residual:.3e} rad/um")
@@ -243,11 +231,7 @@ def tuning_curve(
     """
     lam_deg = 2.0 * cfg.pump_wavelength_nm
     lo = max(lam_deg - TUNING_HALFWIDTH_NM, cfg.pump_wavelength_nm + 1.0, LAMBDA_MIN_NM)
-    hi = lam_deg + TUNING_HALFWIDTH_NM
-    # keep the idler inside the model's validity range
-    while idler_wavelength(cfg.pump_wavelength_nm, hi) < LAMBDA_MIN_NM:
-        hi -= TUNING_STEP_NM
-    hi = min(hi, LAMBDA_MAX_NM)
+    hi = min(lam_deg + TUNING_HALFWIDTH_NM, LAMBDA_MAX_NM)
     grid = np.arange(lo, hi, TUNING_STEP_NM)
 
     # one (temperature x signal) grid; delta_k is elementwise, so it broadcasts
@@ -347,10 +331,6 @@ def build_spectrum(
 ) -> EmissionSpectrum:
     """Two-branch emission spectrum: a degenerate main peak plus a weaker
     non-degenerate branch with the H photon on the short-wavelength side."""
-    if not 0.0 <= sideband_fraction <= 1.0:
-        raise ValueError("sideband fraction must be in [0, 1]")
-    if primary_fwhm_nm <= 0:
-        raise ValueError("FWHM must be positive")
     pump = degenerate_center_nm / 2.0
     branches = [
         SpectralBranch(degenerate_center_nm, degenerate_center_nm, primary_fwhm_nm,

@@ -221,8 +221,14 @@ def test_missing_config_is_machine_readable_error(capsys):
      "rates.target_singles_a_cps"),
     ("rates", "detector.b.efficiency = 0.10", "detector.b.efficiency = 0",
      "detector.b.efficiency"),
+    ("rates", "filter.fwhm_nm = 0.5", "filter.fwhm_nm = nan", "filter.fwhm_nm"),
+    ("bell", "compensator.offset_ps = 0.0", "compensator.offset_ps = nan",
+     "compensator.offset_ps"),
+    ("spectrum", "spectrum.primary_fwhm_nm = 0.7", "spectrum.primary_fwhm_nm = inf",
+     "spectrum.primary_fwhm_nm"),
 ], ids=["typo_key", "zero_t_step", "efficiency", "accidental_fraction", "zero_mc_windows",
-        "zero_window_ns", "loss_split", "unreachable_singles_target", "zero_efficiency_b"])
+        "zero_window_ns", "loss_split", "unreachable_singles_target", "zero_efficiency_b",
+        "nan_filter_fwhm", "nan_compensator_offset", "inf_primary_fwhm"])
 def test_bad_config_value_fails_cleanly(capsys, tmp_path, command, old, new, named):
     cfg = write_config(tmp_path, {old: new})
     code, _, err = run_cli(capsys, command, "--no-mc", "--config", cfg)
@@ -243,7 +249,8 @@ def test_inverted_tuning_range_fails_cleanly(capsys, tmp_path):
     ("--points", "0", "scan.points"),
     ("--points", "3", "scan.points"),
     ("--integration-s", "0", "scan.integration_s"),
-], ids=["points_0", "points_3", "integration_0"])
+    ("--integration-s", "inf", "scan.integration_s"),
+], ids=["points_0", "points_3", "integration_0", "integration_inf"])
 def test_bad_flag_value_fails_cleanly(capsys, flag, value, key):
     code, out, err = run_cli(capsys, "hom", "--no-mc", flag, value)
     assert code == 1

@@ -1,7 +1,12 @@
+import argparse
+
 import numpy as np
 import pytest
 
+from pairsource import cli
+from pairsource.config import load_experiment_config
 from pairsource.fitting import (
+    ALICE_HWP_DEG,
     FitError,
     FitResult,
     ScanData,
@@ -12,6 +17,7 @@ from pairsource.fitting import (
     fringe_model,
     net_correct,
 )
+from pairsource.interference import CANONICAL_SETTINGS_DEG, correlation_E
 
 FOUR_LN2 = 4 * np.log(2)
 
@@ -141,7 +147,6 @@ def test_net_correct_identity_without_accidentals():
     data = make_fringe()
     out = net_correct(data, 0.0)
     assert out.counts == data.counts
-    assert out.net
 
 
 def test_net_correct_floors_at_zero():
@@ -243,6 +248,69 @@ def test_chsh_from_fits_error_propagation():
         errors.append(res.std_error)
     assert np.std(s_values, ddof=1) == pytest.approx(np.mean(errors), rel=0.35)
     assert np.mean(s_values) == pytest.approx(np.sqrt(2) * 1.99, abs=0.02)
+
+
+def _chsh_by_central_differences(fits):
+    """Reference S and its error: S from the 12 stacked fringe parameters, and
+    its gradient by central differences (R0 steps relative to itself, so a
+    tiny fitted rate stays positive) through the block-diagonal covariance."""
+    p = np.concatenate([[fits[a].params[k] for k in ("R0", "V", "theta0")]
+                        for a in ALICE_HWP_DEG])
+
+    def s_of(p):
+        fringe = {hwp: p[3 * i: 3 * i + 3] for i, hwp in enumerate(ALICE_HWP_DEG)}
+
+        def corr(alpha, beta):
+            fa, fp = fringe[alpha / 2.0], fringe[(alpha + 90.0) / 2.0]
+            b, b_perp = beta / 2.0, (beta + 90.0) / 2.0
+            return correlation_E([fringe_model(b, *fa), fringe_model(b_perp, *fa),
+                                  fringe_model(b, *fp), fringe_model(b_perp, *fp)])
+
+        s = CANONICAL_SETTINGS_DEG
+        return (abs(corr(s["a"], s["b"]) - corr(s["a"], s["b_prime"]))
+                + abs(corr(s["a_prime"], s["b"]) + corr(s["a_prime"], s["b_prime"])))
+
+    cov = np.zeros((12, 12))
+    for i, a in enumerate(ALICE_HWP_DEG):
+        cov[3 * i: 3 * i + 3, 3 * i: 3 * i + 3] = fits[a].covariance
+    grad = np.zeros(12)
+    for i in range(12):
+        h = 1e-6 * p[i] if i % 3 == 0 else max(1e-6, 1e-6 * abs(p[i]))
+        pp, pm = p.copy(), p.copy()
+        pp[i] += h
+        pm[i] -= h
+        grad[i] = (s_of(pp) - s_of(pm)) / (2 * h)
+    return s_of(p), np.sqrt(max(grad @ cov @ grad, 0.0))
+
+
+def _bell_fits(no_mc, **overrides):
+    """The raw and the net fringe fits of one `bell` run, keyed by Alice's HWP angle."""
+    cfg = load_experiment_config(None, overrides)
+    fringes = cli._run_bell(cfg, argparse.Namespace(no_mc=no_mc))[3]
+    return [{alice: fringe[k] for alice, fringe in fringes.items()} for k in (2, 3)]
+
+
+@pytest.mark.parametrize("case", ["paper_poisson", "analytic", "integration_1e-9",
+                                  "noiseless_v_pinned"])
+def test_chsh_error_matches_central_differences(case):
+    if case == "paper_poisson":  # 450 cps, 17 % accidentals, 40 points x 60 s
+        runs = [fits for seed in range(20) for fits in _bell_fits(False, seed=seed)]
+    elif case == "analytic":
+        runs = _bell_fits(True)
+    elif case == "integration_1e-9":
+        runs = _bell_fits(True, **{"scan.integration_s": 1e-9})
+    else:
+        runs = [_fringe_fits_for_coherence(1.0)]
+    pinned = 0
+    for fits in runs:
+        res = chsh_from_fits(fits)
+        s, std = _chsh_by_central_differences(fits)
+        assert res.S == pytest.approx(s, rel=1e-8, abs=0)
+        assert res.std_error == pytest.approx(std, rel=1e-8, abs=0)
+        assert res.n_sigma_violation == pytest.approx((s - 2.0) / std, rel=1e-8)
+        pinned += any(f.params["V"] == 1.0 for f in fits.values())
+    if case != "integration_1e-9":
+        assert pinned, "no fit with V pinned at 1"
 
 
 def test_chsh_from_fits_requires_all_angles():

@@ -130,11 +130,6 @@ def test_calibration_round_trip(calibrated):
     assert find_degenerate_period(calibrated, 655, 96.8) == pytest.approx(6.6, abs=1e-3)
 
 
-def test_calibration_on_h_polarization(model):
-    cal_h = calibrate_offsets(model, pol="H")
-    assert find_degenerate_period(cal_h, 655, 96.8) == pytest.approx(6.6, abs=1e-3)
-
-
 def test_signal_slope_nonzero_at_degeneracy(calibrated):
     cfg = QpmConfig(6.6, 96.8, 655.0)
     h = 0.05
