@@ -99,7 +99,7 @@ def _source(cfg):
 def cmd_qpm(cfg, args):
     model = (spdc.DispersionModel.from_file(cfg["dispersion.file"]) if cfg["dispersion.file"]
              else spdc.DispersionModel.default())
-    anchor = spdc.QpmAnchor(
+    anchor = spdc.QpmConfig(
         poling_period_um=cfg["qpm.anchor_period_um"],
         temperature_c=cfg["qpm.temperature_c"],
         pump_wavelength_nm=cfg["qpm.pump_nm"],
@@ -115,8 +115,7 @@ def cmd_qpm(cfg, args):
     }
     temps = np.arange(cfg["qpm.tuning.t_min_c"], cfg["qpm.tuning.t_max_c"] + 1e-9,
                       cfg["qpm.tuning.t_step_c"])
-    rows = spdc.tuning_curve(spdc.QpmConfig(anchor.poling_period_um, temp, pump),
-                             calibrated, temps)
+    rows = spdc.tuning_curve(anchor, calibrated, temps)
     derived["tuning_curve_points"] = len(rows)
     inputs = {"pump_nm": pump, "alt_pump_nm": alt_pump, "temperature_c": temp,
               "anchor_period_um": anchor.poling_period_um}

@@ -56,35 +56,26 @@ def hom_coincidence(alpha_deg, m, v0):
 
 
 @dataclass(frozen=True)
-class HomScan:
-    delays_ps: tuple[float, ...]
+class CoincidenceScan:
     coincidence_probability: tuple[float, ...]
 
 
-def hom_scan(wp: Wavepacket, delays_ps, v0: float) -> HomScan:
+def hom_scan(wp: Wavepacket, delays_ps, v0: float) -> CoincidenceScan:
     """Dip at alpha = 45 deg: P(tau) = (1 - v0*m(tau)) / 2."""
     delays = np.asarray(list(delays_ps), dtype=float)
     if delays.size == 0:
         raise ValueError("delays must be non-empty")
     probs = hom_coincidence(45.0, mode_overlap(wp, delays), v0)
-    return HomScan(tuple(delays), tuple(probs))
-
-
-@dataclass(frozen=True)
-class BellScan:
-    alice_hwp_deg: float
-    bob_hwp_values_deg: tuple[float, ...]
-    coincidence_probability: tuple[float, ...]
+    return CoincidenceScan(tuple(probs))
 
 
 def bell_scan(state_coherence: float, phi_rad: float, alice_hwp_deg: float,
-              bob_hwp_values_deg) -> BellScan:
+              bob_hwp_values_deg) -> CoincidenceScan:
     """Coincidence probability versus Bob's HWP angle at fixed Alice setting."""
     rho = make_psi_state(state_coherence, phi_rad)
     alpha = 2.0 * alice_hwp_deg
     bob = np.asarray(bob_hwp_values_deg, dtype=float)
-    probs = tuple(coincidence_prob(rho, alpha, 2.0 * bob).tolist())
-    return BellScan(alice_hwp_deg, tuple(bob.tolist()), probs)
+    return CoincidenceScan(tuple(coincidence_prob(rho, alpha, 2.0 * bob).tolist()))
 
 
 def fringe_visibility(probs) -> float:

@@ -15,7 +15,7 @@ operating point of the device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +82,7 @@ class DispersionModel:
     """
 
     sellmeier: dict[str, _SellmeierSet]
-    offsets: dict[str, float] = field(default_factory=lambda: {"H": 0.0, "V": 0.0})
+    offsets: dict[str, float]
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DispersionModel":
@@ -107,11 +107,6 @@ class DispersionModel:
     @classmethod
     def default(cls) -> "DispersionModel":
         return cls.from_file(Path(__file__).resolve().parent / "data" / "lithium_niobate.cfg")
-
-    def with_offset(self, pol: str, offset: float) -> "DispersionModel":
-        new = dict(self.offsets)
-        new[pol] = offset
-        return replace(self, offsets=new)
 
 
 def refractive_index(model: DispersionModel, lam_nm, temp_c: float, pol: str):
@@ -186,34 +181,22 @@ def find_degenerate_period(
     return float(period)
 
 
-@dataclass(frozen=True)
-class QpmAnchor:
-    """Known operating point used to calibrate the waveguide index offset."""
-
-    poling_period_um: float = 6.6
-    temperature_c: float = 96.8
-    pump_wavelength_nm: float = 655.0
-
-    @property
-    def degenerate_nm(self) -> float:
-        return 2.0 * self.pump_wavelength_nm
-
-
 def calibrate_offsets(
     model: DispersionModel,
-    anchor: QpmAnchor = QpmAnchor(),
+    anchor: QpmConfig = QpmConfig(6.6, 96.8, 655.0),
 ) -> DispersionModel:
-    """Adjust the V index offset so the anchor is an exact QPM root.
+    """Adjust the V index offset so the anchor, the device's known operating
+    point, is an exact QPM root at degeneracy.
 
     The offset enters n linearly, so the correction is solved in closed form
     and verified; idempotent on an already-consistent model.
     """
-    cfg = QpmConfig(anchor.poling_period_um, anchor.temperature_c, anchor.pump_wavelength_nm)
-    dk0 = delta_k(cfg, model, anchor.degenerate_nm)
+    lam_deg = 2.0 * anchor.pump_wavelength_nm
+    dk0 = delta_k(anchor, model, lam_deg)
     # V enters the idler only: d(delta_k)/d(offset) = -2*pi/lam_i
-    d = dk0 * (anchor.degenerate_nm / 1000.0) / (2.0 * np.pi)
-    calibrated = model.with_offset("V", model.offsets["V"] + d)
-    residual = delta_k(cfg, calibrated, anchor.degenerate_nm)
+    d = dk0 * (lam_deg / 1000.0) / (2.0 * np.pi)
+    calibrated = replace(model, offsets={**model.offsets, "V": model.offsets["V"] + d})
+    residual = delta_k(anchor, calibrated, lam_deg)
     if abs(residual) > 1e-9:
         raise CalibrationError(f"calibration residual {residual:.3e} rad/um")
     return calibrated

@@ -3,7 +3,6 @@ import pytest
 
 from pairsource.interference import (
     TSIRELSON,
-    BellScan,
     ChshResult,
     Wavepacket,
     bell_scan,
