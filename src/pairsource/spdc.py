@@ -15,6 +15,7 @@ operating point of the device.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -325,36 +326,44 @@ def build_spectrum(
     return EmissionSpectrum(tuple(branches), pump)
 
 
-def _photon_density(branch: SpectralBranch, pol: str, lam: np.ndarray,
-                    filters: tuple[FilterSpec, ...]) -> np.ndarray:
-    center = branch.center_h_nm if pol == "H" else branch.center_v_nm
-    sigma = branch.fwhm_nm * _FWHM_TO_SIGMA
-    dens = np.exp(-0.5 * ((lam - center) / sigma) ** 2)
-    for f in filters:
-        dens = dens * f.transmission(lam)
-    return dens
-
-
 def marginal_intensity(spectrum: EmissionSpectrum, pol: str, lam: np.ndarray) -> np.ndarray:
     """Weighted per-polarization spectral intensity (arbitrary units)."""
     lam = np.asarray(lam, dtype=float)
     out = np.zeros_like(lam)
     for b in spectrum.branches:
-        out += b.weight * _photon_density(b, pol.upper(), lam, spectrum.applied_filters)
+        center = b.center_h_nm if pol.upper() == "H" else b.center_v_nm
+        dens = np.exp(-0.5 * ((lam - center) / (b.fwhm_nm * _FWHM_TO_SIGMA)) ** 2)
+        for f in spectrum.applied_filters:
+            dens = dens * f.transmission(lam)
+        out += b.weight * dens
     return out
 
 
 def _branch_transmission(branch: SpectralBranch, pol: str,
                          applied: tuple[FilterSpec, ...], new: FilterSpec) -> float:
+    """Fraction of one photon, through the `applied` filters, that also passes `new`.
+
+    Every factor of the filtered line is a Gaussian or a box, so the line is one
+    Gaussian (precisions add, the means are weighted by precision) on the
+    intersection of the boxes, and its mass is a difference of two erfc values.
+    """
     center = branch.center_h_nm if pol == "H" else branch.center_v_nm
-    half = max(6.0 * branch.fwhm_nm, abs(center - new.center_nm) + 3.0 * new.fwhm_nm)
-    lam = np.linspace(center - half, center + half, 8001)
-    before = _photon_density(branch, pol, lam, applied)
-    norm = np.trapezoid(before, lam)
-    if norm <= 0:
-        return 0.0
-    after = np.trapezoid(before * new.transmission(lam), lam)
-    return float(after / norm)
+    masses = []
+    for filters in (applied, applied + (new,)):
+        lines = [(center, branch.fwhm_nm)]
+        lines += [(f.center_nm, f.fwhm_nm) for f in filters if f.shape == "gaussian"]
+        precisions = [float(w * _FWHM_TO_SIGMA) ** -2 for _, w in lines]
+        precision = sum(precisions)
+        mean = sum(q * c for q, (c, _) in zip(precisions, lines)) / precision
+        boxes = [f for f in filters if f.shape == "flat-top"]
+        lo = max((f.center_nm - f.fwhm_nm / 2 for f in boxes), default=-math.inf)
+        hi = max(lo, min((f.center_nm + f.fwhm_nm / 2 for f in boxes), default=math.inf))
+        a, b = (lo - mean) * math.sqrt(precision / 2), (hi - mean) * math.sqrt(precision / 2)
+        if a + b < 0:  # mirror the box to the right of the mean, where erfc keeps its digits
+            a, b = -b, -a
+        log_peak = -0.5 * sum(q * (c - mean) ** 2 for q, (c, _) in zip(precisions, lines))
+        masses.append(math.exp(log_peak) / math.sqrt(precision) * (math.erfc(a) - math.erfc(b)))
+    return masses[1] / masses[0] if masses[0] > 0 else 0.0
 
 
 def apply_filter(

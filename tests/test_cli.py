@@ -53,6 +53,14 @@ def test_qpm_reports_paper_periods(capsys, tmp_path):
     assert len(lines) == rep["derived"]["tuning_curve_points"] + 1
 
 
+def test_qpm_calibrates_at_the_configured_anchor(capsys, tmp_path):
+    path = tmp_path / "anchor.config"
+    path.write_text("qpm.anchor_period_um = 6.7\nqpm.temperature_c = 100\nqpm.pump_nm = 656\n")
+    rep = run_report(capsys, "qpm", "--no-mc", "--no-timestamp", "--config", str(path))
+    assert rep["derived"]["degenerate_period_um"] == 6.7
+    assert rep["derived"]["calibration_offset_v"] == -0.00228411
+
+
 # --- spectrum --------------------------------------------------------------
 
 def test_spectrum_report_values(capsys, tmp_path):

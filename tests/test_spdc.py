@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -132,6 +133,11 @@ def test_calibration_round_trip(calibrated):
     assert find_degenerate_period(calibrated, 655, 96.8) == pytest.approx(6.6, abs=1e-3)
 
 
+def test_calibration_at_a_non_default_anchor(model):
+    anchor = QpmConfig(6.7, 100.0, 656.0)
+    assert abs(delta_k(anchor, calibrate_offsets(model, anchor), 1312.0)) < 1e-9
+
+
 def test_signal_slope_nonzero_at_degeneracy(calibrated):
     cfg = QpmConfig(6.6, 96.8, 655.0)
     h = 0.05
@@ -258,6 +264,17 @@ def test_flat_top_filter_idempotent():
     assert s2 == pytest.approx(s1, abs=1e-9)
     for b1, b2 in zip(once.branches, twice.branches):
         assert b2.weight == pytest.approx(b1.weight, abs=1e-9)
+
+
+@pytest.mark.parametrize("fwhm", [0.5, 0.05])
+def test_flat_top_transmission_is_exact(fwhm):
+    # both photons of the degenerate line sit at the box's center, so each
+    # passes with probability erf(fwhm/2 / (sigma*sqrt(2)))
+    sp = build_spectrum(primary_fwhm_nm=0.7, sideband_fraction=0.0)
+    _, transmitted, _ = apply_filter(sp, FilterSpec(1309.8, fwhm, shape="flat-top"))
+    sigma = 0.7 / (2 * np.sqrt(2 * np.log(2)))
+    one_photon = math.erf(fwhm / 2 / (sigma * np.sqrt(2)))
+    assert transmitted == pytest.approx(one_photon**2, rel=1e-10)
 
 
 def test_non_overlapping_filter_rejected():
