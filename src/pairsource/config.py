@@ -19,11 +19,14 @@ from types import MappingProxyType
 
 MANIFEST = Path(__file__).resolve().parent / "data" / "paper.config"
 INT_KEYS = frozenset({"schema_version", "seed", "scan.points", "mc.windows"})
+MAX_SCAN_POINTS = 100_000
+MAX_TUNING_STEPS = 1_000  # (t_max - t_min) / t_step, so at most 1,001 tuning temperatures
 # ranges that no domain constructor checks: key -> (test, rule)
 _RANGES = {
     "schema_version": (lambda v: v == 1, "must be 1"),
     "qpm.tuning.t_step_c": (lambda v: v > 0, "must be > 0"),
-    "scan.points": (lambda v: v >= 6, "must be >= 6"),
+    "scan.points": (lambda v: 6 <= v <= MAX_SCAN_POINTS, f"must be in [6, {MAX_SCAN_POINTS}]"),
+    "hom.delay_span_ps": (lambda v: v > 0, "must be > 0"),
     "scan.integration_s": (lambda v: v > 0, "must be > 0"),
     "rates.accidental_fraction": (lambda v: 0 <= v < 1, "must be in [0, 1)"),
     "losses.split": (lambda v: 0 <= v <= 1, "must be in [0, 1]"),
@@ -110,4 +113,7 @@ def load_experiment_config(path: str | Path | None,
     if t_min > t_max:
         raise ConfigError(f"key qpm.tuning.t_min_c ({t_min!r}) must not exceed "
                           f"key qpm.tuning.t_max_c ({t_max!r})")
+    if (t_max - t_min) / cfg["qpm.tuning.t_step_c"] > MAX_TUNING_STEPS:
+        raise ConfigError(f"key qpm.tuning.t_step_c: must be >= (t_max_c - t_min_c) / "
+                          f"{MAX_TUNING_STEPS}, got {cfg['qpm.tuning.t_step_c']!r}")
     return MappingProxyType(cfg)

@@ -186,8 +186,7 @@ def calibrate_offsets(
     model: DispersionModel,
     anchor: QpmConfig = QpmConfig(6.6, 96.8, 655.0),
 ) -> DispersionModel:
-    """Adjust the V index offset so the anchor, the device's known operating
-    point, is an exact QPM root at degeneracy.
+    """Adjust the V index offset so the anchor, a known operating point, is a QPM root.
 
     The offset enters n linearly, so the correction is solved in closed form
     and verified; idempotent on an already-consistent model.

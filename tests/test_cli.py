@@ -234,9 +234,15 @@ def test_missing_config_is_machine_readable_error(capsys):
      "compensator.offset_ps"),
     ("spectrum", "spectrum.primary_fwhm_nm = 0.7", "spectrum.primary_fwhm_nm = inf",
      "spectrum.primary_fwhm_nm"),
+    # the next two would ask numpy for 8e10 and 1e11 floats; the load must refuse first
+    ("qpm", "qpm.tuning.t_step_c = 2", "qpm.tuning.t_step_c = 1e-9", "qpm.tuning.t_step_c"),
+    ("hom", "scan.points = 40", "scan.points = 100000000000", "scan.points"),
+    ("hom", "hom.delay_span_ps = 15", "hom.delay_span_ps = 0", "hom.delay_span_ps"),
+    ("hom", "hom.delay_span_ps = 15", "hom.delay_span_ps = -15", "hom.delay_span_ps"),
 ], ids=["typo_key", "zero_t_step", "efficiency", "accidental_fraction", "zero_mc_windows",
         "zero_window_ns", "loss_split", "unreachable_singles_target", "zero_efficiency_b",
-        "nan_filter_fwhm", "nan_compensator_offset", "inf_primary_fwhm"])
+        "nan_filter_fwhm", "nan_compensator_offset", "inf_primary_fwhm", "tiny_t_step",
+        "too_many_points", "zero_delay_span", "negative_delay_span"])
 def test_bad_config_value_fails_cleanly(capsys, tmp_path, command, old, new, named):
     cfg = write_config(tmp_path, {old: new})
     code, _, err = run_cli(capsys, command, "--no-mc", "--config", cfg)
@@ -258,7 +264,8 @@ def test_inverted_tuning_range_fails_cleanly(capsys, tmp_path):
     ("--points", "3", "scan.points"),
     ("--integration-s", "0", "scan.integration_s"),
     ("--integration-s", "inf", "scan.integration_s"),
-], ids=["points_0", "points_3", "integration_0", "integration_inf"])
+    ("--points", "100000000000", "scan.points"),
+], ids=["points_0", "points_3", "integration_0", "integration_inf", "points_1e11"])
 def test_bad_flag_value_fails_cleanly(capsys, flag, value, key):
     code, out, err = run_cli(capsys, "hom", "--no-mc", flag, value)
     assert code == 1
