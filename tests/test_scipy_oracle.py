@@ -5,12 +5,15 @@ with its own bounded Levenberg-Marquardt. The scipy implementations they
 replaced live on here, unchanged, as the oracle each replacement must
 reproduce: `brentq` for the QPM period, the tuning-curve roots and the loss
 calibration, and `least_squares` with the original settings for the fits.
+`quad` integrates each photon's filtered line for the erfc filter
+transmission.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq, least_squares
 
 from pairsource import counting as cnt
@@ -67,6 +70,46 @@ def test_tuning_curve_roots_match_brentq(model, pump_nm):
     for (temp, signal, _, _), (temp_ref, signal_ref) in zip(rows, expected):
         assert temp == temp_ref
         assert signal == pytest.approx(signal_ref, rel=0, abs=1e-9)
+
+
+# --- filter transmission ----------------------------------------------------
+
+def _quad_pair_transmissions(spectrum, filters):
+    """Each branch's pair transmission through all of `filters`, by quad."""
+    def mass(center, fwhm, fs):
+        def line(lam):
+            t = np.prod([f.transmission(lam) for f in fs])
+            return np.exp(-4 * np.log(2) * (lam - center) ** 2 / fwhm**2) * t
+
+        edges = sorted(f.center_nm + s * f.fwhm_nm / 2 for f in fs for s in (-1, 1))
+        return quad(line, center - 10, center + 10, points=edges or None, limit=500,
+                    epsabs=0, epsrel=1e-13)[0]
+
+    return [mass(b.center_h_nm, b.fwhm_nm, filters) / mass(b.center_h_nm, b.fwhm_nm, ())
+            * mass(b.center_v_nm, b.fwhm_nm, filters) / mass(b.center_v_nm, b.fwhm_nm, ())
+            for b in spectrum.branches]
+
+
+@pytest.mark.parametrize("filters", [
+    (spdc.FilterSpec(1309.8, 0.5, "flat-top"),),
+    (spdc.FilterSpec(1310.0, 0.5),),
+    # a sideband photon lies 2 nm from the box, far in its Gaussian tail:
+    # the H photon below the box, then the V photon above it
+    (spdc.FilterSpec(1311.0, 0.5, "flat-top"),),
+    (spdc.FilterSpec(1308.6, 0.5, "flat-top"),),
+    (spdc.FilterSpec(1309.6, 0.6, "flat-top"), spdc.FilterSpec(1310.0, 0.5)),
+    (spdc.FilterSpec(1309.9, 0.3, "flat-top"), spdc.FilterSpec(1309.8, 0.5, "flat-top")),
+], ids=["flat_top", "gaussian", "flat_top_upper_tail", "flat_top_lower_tail",
+        "flat_top_then_gaussian", "two_boxes"])
+def test_filter_transmission_matches_quad(filters):
+    unfiltered = spectrum = spdc.build_spectrum()
+    for f in filters:
+        spectrum, transmitted, sideband = spdc.apply_filter(spectrum, f)
+    weights = np.array([b.weight for b in unfiltered.branches])
+    before = np.dot(weights, _quad_pair_transmissions(unfiltered, filters[:-1]))
+    after = weights * _quad_pair_transmissions(unfiltered, filters)
+    assert transmitted == pytest.approx(after.sum() / before, rel=1e-9)
+    assert sideband == pytest.approx(after[1] / after.sum(), rel=1e-9)
 
 
 # --- loss calibration -------------------------------------------------------

@@ -277,6 +277,12 @@ def test_flat_top_transmission_is_exact(fwhm):
     assert transmitted == pytest.approx(one_photon**2, rel=1e-10)
 
 
+def test_disjoint_flat_top_filters_rejected():
+    once, _, _ = apply_filter(build_spectrum(), FilterSpec(1309.8, 0.5, shape="flat-top"))
+    with pytest.raises(spdc.FilterOverlapError):
+        apply_filter(once, FilterSpec(1310.6, 0.5, shape="flat-top"))
+
+
 def test_non_overlapping_filter_rejected():
     sp = build_spectrum()
     with pytest.raises(spdc.FilterOverlapError):

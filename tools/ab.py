@@ -17,14 +17,21 @@ the change was faster, the failed checks, and each process's peak RSS
 the warm-up. The last line is the same record as JSON.
 
 Pairing ops this way cancels host drift that separate benchmark runs see as
-run-to-run spread. Only the standard library is used here; the two processes
-need what each tree's benchmark needs. One BLAS thread is set by run.py.
+run-to-run spread. Two processes running identical code can still differ by a
+few per cent per op, so with two or more CPUs each worker is pinned to a CPU
+of its own (`os.sched_setaffinity`, on its own process only) and the pins are
+swapped after half of the op pairs; the change-faster count is printed for
+each half and overall. With one CPU nothing is pinned, and the output says so.
+Only the standard library is used here; the two processes need what each
+tree's benchmark needs. One BLAS thread is set by run.py, so each worker does
+its work on the one thread that is pinned.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -104,20 +111,33 @@ def main(argv=None) -> int:
 
     workers = {side: Worker(getattr(args, side).resolve(), args.workload, SEED)
                for side in SIDES}
-    faster = 0
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    half = args.ops // 2
+    faster = [0, 0]  # change-faster op pairs in each half
+
+    def pin(parent_cpu_first: bool) -> None:
+        if len(cpus) == 2:
+            for side, cpu in zip(SIDES, cpus if parent_cpu_first else cpus[::-1]):
+                os.sched_setaffinity(workers[side].proc.pid, {cpu})
+
     try:
+        pin(True)
         for worker in workers.values():
             worker.op(timed=False)
         for i in range(args.ops):
+            if i == half:
+                pin(False)
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             t = {side: workers[side].op() for side in order}
-            faster += t["change"] < t["parent"]
+            faster[i >= half] += t["change"] < t["parent"]
     finally:
         for worker in workers.values():
             worker.close()
 
     record = {"workload": args.workload, "op_pairs": args.ops, "seed": SEED,
-              "alternating_order": True, "change_faster_in_op_pairs": faster,
+              "alternating_order": True, "change_faster_in_op_pairs": sum(faster),
+              "pinned_cpus": cpus if len(cpus) == 2 else None,
+              "change_faster_by_half": {"op_pairs": [half, args.ops - half], "count": faster},
               **{side: _summary(workers[side]) for side in SIDES}}
     for side in SIDES:
         s = record[side]
@@ -127,8 +147,13 @@ def main(argv=None) -> int:
               f"failed checks {s['failed_checks']}/{s['ops'] + 1}  ru_maxrss MB after ops {rss}")
         for failure in s["failures"]:
             print(f"{side:>7}  {failure}")
+    if len(cpus) == 2:
+        print(f"pinned: parent on CPU {cpus[0]} and change on CPU {cpus[1]}, change faster in "
+              f"{faster[0]}/{half} op pairs; swapped, {faster[1]}/{args.ops - half}")
+    else:
+        print("one CPU available: workers not pinned")
     ratio = record["change"]["median_s"] / record["parent"]["median_s"]
-    print(f"{args.workload}: change faster in {faster}/{args.ops} op pairs; "
+    print(f"{args.workload}: change faster in {sum(faster)}/{args.ops} op pairs; "
           f"change/parent median {ratio:.3f}")
     print(json.dumps(record))
     return 0
