@@ -19,13 +19,12 @@ from types import MappingProxyType
 
 MANIFEST = Path(__file__).resolve().parent / "data" / "paper.config"
 INT_KEYS = frozenset({"schema_version", "seed", "scan.points", "mc.windows"})
-MAX_SCAN_POINTS = 100_000
 MAX_TUNING_STEPS = 1_000  # (t_max - t_min) / t_step, so at most 1,001 tuning temperatures
 # ranges that no domain constructor checks: key -> (test, rule)
 _RANGES = {
     "schema_version": (lambda v: v == 1, "must be 1"),
     "qpm.tuning.t_step_c": (lambda v: v > 0, "must be > 0"),
-    "scan.points": (lambda v: 6 <= v <= MAX_SCAN_POINTS, f"must be in [6, {MAX_SCAN_POINTS}]"),
+    "scan.points": (lambda v: 6 <= v <= 100_000, "must be in [6, 100000]"),
     "hom.delay_span_ps": (lambda v: v > 0, "must be > 0"),
     "scan.integration_s": (lambda v: v > 0, "must be > 0"),
     "rates.accidental_fraction": (lambda v: 0 <= v < 1, "must be in [0, 1)"),

@@ -75,7 +75,8 @@ def bell_scan(state_coherence: float, phi_rad: float, alice_hwp_deg: float,
     rho = make_psi_state(state_coherence, phi_rad)
     alpha = 2.0 * alice_hwp_deg
     bob = np.asarray(bob_hwp_values_deg, dtype=float)
-    return CoincidenceScan(tuple(coincidence_prob(rho, alpha, 2.0 * bob).tolist()))
+    probs = tuple(coincidence_prob(rho, alpha, 2.0 * bob).tolist())
+    return CoincidenceScan(probs)
 
 
 def fringe_visibility(probs) -> float:

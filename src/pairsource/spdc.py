@@ -343,8 +343,8 @@ def _branch_transmission(branch: SpectralBranch, pol: str,
     """Fraction of one photon, through the `applied` filters, that also passes `new`.
 
     Every factor of the filtered line is a Gaussian or a box, so the line is one
-    Gaussian (precisions add, the means are weighted by precision) on the
-    intersection of the boxes, and its mass is a difference of two erfc values.
+    Gaussian (precisions add, the means are weighted by precision) on the boxes'
+    intersection [lo, hi], empty if hi = lo; its mass is a difference of two erfc values.
     """
     center = branch.center_h_nm if pol == "H" else branch.center_v_nm
     masses = []
