@@ -351,14 +351,14 @@ def _branch_transmission(branch: SpectralBranch, pol: str,
     for filters in (applied, applied + (new,)):
         lines = [(center, branch.fwhm_nm)]
         lines += [(f.center_nm, f.fwhm_nm) for f in filters if f.shape == "gaussian"]
-        precisions = [float(w * _FWHM_TO_SIGMA) ** -2 for _, w in lines]
+        precisions = [(w * _FWHM_TO_SIGMA) ** -2 for _, w in lines]
         precision = sum(precisions)
         mean = sum(q * c for q, (c, _) in zip(precisions, lines)) / precision
         boxes = [f for f in filters if f.shape == "flat-top"]
         lo = max((f.center_nm - f.fwhm_nm / 2 for f in boxes), default=-math.inf)
         hi = max(lo, min((f.center_nm + f.fwhm_nm / 2 for f in boxes), default=math.inf))
         a, b = (lo - mean) * math.sqrt(precision / 2), (hi - mean) * math.sqrt(precision / 2)
-        if a + b < 0:  # mirror the box to the right of the mean, where erfc keeps its digits
+        if a < -b:  # mirror the box to the right of the mean, where erfc keeps its digits
             a, b = -b, -a
         log_peak = -0.5 * sum(q * (c - mean) ** 2 for q, (c, _) in zip(precisions, lines))
         masses.append(math.exp(log_peak) / math.sqrt(precision) * (math.erfc(a) - math.erfc(b)))
