@@ -14,6 +14,7 @@ JSON object or text. `main` alone builds the report and writes the files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -115,14 +116,14 @@ def cmd_qpm(cfg, args):
     }
     temps = np.arange(cfg["qpm.tuning.t_min_c"], cfg["qpm.tuning.t_max_c"] + 1e-9,
                       cfg["qpm.tuning.t_step_c"])
-    rows = spdc.tuning_curve(anchor, calibrated, temps)
-    derived["tuning_curve_points"] = len(rows)
+    t_c, signal_nm, idler_nm, degenerate = spdc.tuning_curve(anchor, calibrated, temps)
+    derived["tuning_curve_points"] = len(t_c)
     inputs = {"pump_nm": pump, "alt_pump_nm": alt_pump, "temperature_c": temp,
               "anchor_period_um": anchor.poling_period_um}
     outputs = {"tuning_curve_csv": "tuning_curve.csv" if args.out else None}
-    columns = zip(*[(t, s, i, int(d)) for t, s, i, d in rows])
     return inputs, derived, outputs, {
-        "tuning_curve.csv": (["temperature_c", "signal_nm", "idler_nm", "degenerate"], *columns)}
+        "tuning_curve.csv": (["temperature_c", "signal_nm", "idler_nm", "degenerate"],
+                             t_c, signal_nm, idler_nm, degenerate.astype(int))}
 
 
 def cmd_spectrum(cfg, args):
@@ -161,11 +162,11 @@ def _scan(cfg, args, rng, x, probs, fit):
     r_max = cfg["rates.target_coincidences_cps"]
     r_acc = cfg["rates.accidental_fraction"] * r_max
     integration = cfg["scan.integration_s"]
-    rates = r_acc + (r_max - r_acc) * 2.0 * np.asarray(probs)
+    rates = r_acc + (r_max - r_acc) * 2.0 * probs
     counts = rates * integration
     if not args.no_mc:
         counts = rng.poisson(counts).astype(float)
-    data = fitmod.ScanData(tuple(x), tuple(counts), integration)
+    data = fitmod.ScanData(x, counts, integration)
     return rates, counts, fit(data), fit(fitmod.net_correct(data, r_acc))
 
 
@@ -289,7 +290,7 @@ def cmd_rates(cfg, args):
                                   n_windows=n_windows, seed=cfg["seed"])
         outputs["monte_carlo"] = {"n_windows": n_windows,
                                   **_rate_fields(cnt.mc_rates(run, budget.window_ns))}
-        files["mc_run.json"] = run.to_json()
+        files["mc_run.json"] = {**dataclasses.asdict(run), "parameters": {}}
     inputs = {"budget": {
         "brightness": budget.brightness_pairs_per_s_ghz_mw,
         "pump_power_mw": budget.pump_power_mw,

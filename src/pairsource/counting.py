@@ -26,7 +26,6 @@ pair (splitter, detection 1, detection 2, interference).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from math import exp, factorial
 
@@ -108,15 +107,6 @@ class McRun:
     def __post_init__(self):
         if sum(self.tallies.values()) != self.n_windows:
             raise ValueError("window tallies must sum to n_windows")
-
-    def to_json(self, params: dict | None = None) -> str:
-        return json.dumps({
-            "seed": self.seed,
-            "n_windows": self.n_windows,
-            "tallies": self.tallies,
-            "details": self.details,
-            "parameters": params or {},
-        }, indent=2, sort_keys=True)
 
 
 def bandwidth_ghz(delta_lambda_nm: float, lam_nm: float) -> float:

@@ -32,25 +32,27 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScanData:
-    """One measured scan: x (ps or degrees), counts per point, s per point."""
+    """One measured scan: x (ps or degrees), counts per point, s per point.
+    Sequences given for x, counts and variance are kept as float arrays."""
 
-    x: tuple[float, ...]
-    counts: tuple[float, ...]
+    x: np.ndarray
+    counts: np.ndarray
     integration_time_s: float
-    variance: tuple[float, ...] | None = None  # raw-count variance for net data
+    variance: np.ndarray | None = None  # raw-count variance for net data
 
     def __post_init__(self):
+        for name in ("x", "counts", "variance"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if len(self.x) != len(self.counts):
             raise ValueError("x and counts must have equal length")
-        if any(c < 0 for c in self.counts):
+        if np.any(self.counts < 0):
             raise ValueError("counts must be non-negative")
         if self.integration_time_s <= 0:
             raise ValueError("integration time must be positive")
 
     def sigma(self) -> np.ndarray:
-        if self.variance is not None:
-            return np.sqrt(np.maximum(self.variance, 1.0))
-        return np.sqrt(np.maximum(self.counts, 1.0))
+        return np.sqrt(np.maximum(self.counts if self.variance is None else self.variance, 1.0))
 
 
 @dataclass(frozen=True)
@@ -86,9 +88,7 @@ def _run_fit(data: ScanData, model, jac, names, p0, lower, upper) -> FitResult:
     """Levenberg-Marquardt on the box [lower, upper], damped by lam * diag(J^T J).
     A parameter on a bound whose gradient points outward is held, each trial is
     clipped to the box, and a step (taken or refused) below FIT_XTOL ends it."""
-    x = np.asarray(data.x, dtype=float)
-    y = np.asarray(data.counts, dtype=float)
-    sig = data.sigma()
+    x, y, sig = data.x, data.counts, data.sigma()
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     p = np.clip(np.asarray(p0, dtype=float), lower, upper)
     r, lam = (model(x, *p) - y) / sig, 1e-3
@@ -124,16 +124,22 @@ def _run_fit(data: ScanData, model, jac, names, p0, lower, upper) -> FitResult:
     )
 
 
+def _extremes(data: ScanData, too_few: str, constant: str):
+    """Max and min of the counts and the contrast guess (max - min) / max, once
+    the scan has at least 6 points and counts that are not constant."""
+    if len(data.x) < 6:
+        raise ValueError(too_few)
+    ymax, ymin = data.counts.max(), data.counts.min()
+    if ymax <= 0 or (ymax - ymin) / max(ymax, 1.0) < 1e-9:
+        raise FitError(constant)
+    return ymax, ymin, (ymax - ymin) / ymax
+
+
 def fit_dip(data: ScanData) -> FitResult:
     """Fit the HOM dip model; params R0, V, tau0, w (w = dip FWHM in ps)."""
-    if len(data.x) < 6:
-        raise ValueError("need at least 6 points spanning the dip")
-    x = np.asarray(data.x, dtype=float)
-    y = np.asarray(data.counts, dtype=float)
-    ymax, ymin = y.max(), y.min()
-    if ymax <= 0 or (ymax - ymin) / max(ymax, 1.0) < 1e-9:
-        raise FitError("no dip detected (counts are constant)")
-    v0 = (ymax - ymin) / ymax
+    ymax, _, v0 = _extremes(data, "need at least 6 points spanning the dip",
+                            "no dip detected (counts are constant)")
+    x, y = data.x, data.counts
     tau0 = float(x[np.argmin(y)])
     half = ymax * (1.0 - v0 / 2.0)
     below = x[y < half]
@@ -150,15 +156,9 @@ def fit_dip(data: ScanData) -> FitResult:
 
 def fit_fringe(data: ScanData) -> FitResult:
     """Fit the Bell fringe model; params R0, V, theta0 (HWP degrees)."""
-    if len(data.x) < 6:
-        raise ValueError("need at least 6 points over at least half a fringe period")
-    x = np.asarray(data.x, dtype=float)
-    y = np.asarray(data.counts, dtype=float)
-    ymax, ymin = y.max(), y.min()
-    if ymax <= 0 or (ymax - ymin) / max(ymax, 1.0) < 1e-9:
-        raise FitError("no fringe detected (counts are constant)")
-    v0 = (ymax - ymin) / ymax
-    theta0 = float(x[np.argmin(y)]) % 90.0
+    ymax, ymin, v0 = _extremes(data, "need at least 6 points over at least half a fringe period",
+                               "no fringe detected (counts are constant)")
+    theta0 = float(data.x[np.argmin(data.counts)]) % 90.0
     p0 = [ymax + ymin, min(v0, 1.0), theta0]
     result = _run_fit(data, fringe_model, _fringe_jac, ("R0", "V", "theta0"), p0,
                       lower=[0.0, 0.0, -90.0], upper=[np.inf, 1.0, 180.0])
@@ -174,9 +174,7 @@ def net_correct(data: ScanData, accidental_rate: float) -> ScanData:
     if accidental_rate < 0:
         raise ValueError("accidental rate must be non-negative")
     acc = accidental_rate * data.integration_time_s
-    corrected = tuple(max(c - acc, 0.0) for c in data.counts)
-    variance = tuple(max(c, 1.0) for c in data.counts)
-    return replace(data, counts=corrected, variance=variance)
+    return replace(data, counts=np.maximum(data.counts - acc, 0.0), variance=data.counts)
 
 
 # Alice HWP angles (deg) of the four fringes that the CHSH settings need

@@ -57,26 +57,23 @@ def hom_coincidence(alpha_deg, m, v0):
 
 @dataclass(frozen=True)
 class CoincidenceScan:
-    coincidence_probability: tuple[float, ...]
+    coincidence_probability: np.ndarray
 
 
 def hom_scan(wp: Wavepacket, delays_ps, v0: float) -> CoincidenceScan:
     """Dip at alpha = 45 deg: P(tau) = (1 - v0*m(tau)) / 2."""
-    delays = np.asarray(list(delays_ps), dtype=float)
+    delays = np.asarray(delays_ps, dtype=float)
     if delays.size == 0:
         raise ValueError("delays must be non-empty")
-    probs = hom_coincidence(45.0, mode_overlap(wp, delays), v0)
-    return CoincidenceScan(tuple(probs))
+    return CoincidenceScan(hom_coincidence(45.0, mode_overlap(wp, delays), v0))
 
 
 def bell_scan(state_coherence: float, phi_rad: float, alice_hwp_deg: float,
               bob_hwp_values_deg) -> CoincidenceScan:
     """Coincidence probability versus Bob's HWP angle at fixed Alice setting."""
     rho = make_psi_state(state_coherence, phi_rad)
-    alpha = 2.0 * alice_hwp_deg
     bob = np.asarray(bob_hwp_values_deg, dtype=float)
-    probs = tuple(coincidence_prob(rho, alpha, 2.0 * bob).tolist())
-    return CoincidenceScan(probs)
+    return CoincidenceScan(coincidence_prob(rho, 2.0 * alice_hwp_deg, 2.0 * bob))
 
 
 def fringe_visibility(probs) -> float:

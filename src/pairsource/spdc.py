@@ -206,11 +206,11 @@ def tuning_curve(
     cfg: QpmConfig,
     model: DispersionModel,
     temperatures: np.ndarray | list[float],
-) -> list[tuple[float, float, float, bool]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Signal/idler solutions of delta_k = 0 versus temperature.
 
-    Returns rows (T, lam_s, lam_i, degenerate_flag); temperatures without a
-    solution simply contribute no rows.
+    Returns columns (T, lam_s, lam_i, degenerate_flag), one entry per solution,
+    the flag as bools; temperatures without a solution contribute no entries.
     """
     lam_deg = 2.0 * cfg.pump_wavelength_nm
     lo = max(lam_deg - TUNING_HALFWIDTH_NM, cfg.pump_wavelength_nm + 1.0, LAMBDA_MIN_NM)
@@ -231,8 +231,7 @@ def tuning_curve(
         a, b, f_a = np.where(left, mid, a), np.where(left, b, mid), np.where(left, f_mid, f_a)
     roots = 0.5 * (a + b)
     idlers = idler_wavelength(cfg.pump_wavelength_nm, roots)
-    return [(float(temp), float(root), float(lam_i), bool(abs(root - lam_i) < 0.5))
-            for temp, root, lam_i in zip(temps[t], roots, idlers)]
+    return temps[t], roots, idlers, np.abs(roots - idlers) < 0.5
 
 
 # ---------------------------------------------------------------------------

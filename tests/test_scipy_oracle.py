@@ -64,10 +64,10 @@ def _brentq_tuning_curve(cfg, model, temperatures):
 def test_tuning_curve_roots_match_brentq(model, pump_nm):
     cfg = spdc.QpmConfig(spdc.find_degenerate_period(model, pump_nm, 96.8), 96.8, pump_nm)
     temps = np.arange(60.0, 140.0 + 1e-9, 2.0)
-    rows = spdc.tuning_curve(cfg, model, temps)
+    temps_c, signals, _, _ = spdc.tuning_curve(cfg, model, temps)
     expected = _brentq_tuning_curve(cfg, model, temps)
-    assert len(rows) == len(expected) > len(temps) / 2
-    for (temp, signal, _, _), (temp_ref, signal_ref) in zip(rows, expected):
+    assert len(signals) == len(expected) > len(temps) / 2
+    for temp, signal, (temp_ref, signal_ref) in zip(temps_c, signals, expected):
         assert temp == temp_ref
         assert signal == pytest.approx(signal_ref, rel=0, abs=1e-9)
 

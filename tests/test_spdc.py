@@ -147,26 +147,24 @@ def test_signal_slope_nonzero_at_degeneracy(calibrated):
 
 def test_tuning_curve_degenerate_at_anchor(calibrated):
     cfg = QpmConfig(6.6, 96.8, 655.0)
-    rows = tuning_curve(cfg, calibrated, [96.8])
-    assert rows
-    temp, lam_s, lam_i, degenerate = rows[0]
-    assert degenerate
-    assert lam_s == pytest.approx(1310.0, abs=0.1)
-    assert lam_i == pytest.approx(1310.0, abs=0.1)
+    temps, lam_s, lam_i, degenerate = tuning_curve(cfg, calibrated, [96.8])
+    assert len(temps)
+    assert degenerate[0]
+    assert lam_s[0] == pytest.approx(1310.0, abs=0.1)
+    assert lam_i[0] == pytest.approx(1310.0, abs=0.1)
 
 
 def test_tuning_curve_energy_conservation(calibrated):
     cfg = QpmConfig(6.6, 96.8, 655.0)
-    rows = tuning_curve(cfg, calibrated, np.arange(80, 120, 5.0))
-    assert rows
-    for _, lam_s, lam_i, _ in rows:
+    _, signals, idlers, _ = tuning_curve(cfg, calibrated, np.arange(80, 120, 5.0))
+    assert len(signals)
+    for lam_s, lam_i in zip(signals, idlers):
         assert 1 / lam_s + 1 / lam_i == pytest.approx(1 / 655.0, abs=1e-6)
 
 
 def test_tuning_curve_continuity_near_degeneracy(calibrated):
     cfg = QpmConfig(6.6, 96.8, 655.0)
-    rows = tuning_curve(cfg, calibrated, np.arange(96.0, 97.6, 0.1))
-    signals = [r[1] for r in rows]
+    _, signals, _, _ = tuning_curve(cfg, calibrated, np.arange(96.0, 97.6, 0.1))
     assert len(signals) >= 10
     assert np.all(np.abs(np.diff(signals)) < 5.0)
 
