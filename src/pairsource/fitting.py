@@ -46,10 +46,12 @@ class ScanData:
                 object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if len(self.x) != len(self.counts):
             raise ValueError("x and counts must have equal length")
-        if np.any(self.counts < 0):
-            raise ValueError("counts must be non-negative")
-        if self.integration_time_s <= 0:
-            raise ValueError("integration time must be positive")
+        if not np.all(np.isfinite(self.x)):
+            raise ValueError("x must be finite")
+        if not np.all((self.counts >= 0) & (self.counts < np.inf)):
+            raise ValueError("counts must be finite and non-negative")
+        if not 0 < self.integration_time_s < np.inf:
+            raise ValueError("integration_time_s must be positive and finite")
 
     def sigma(self) -> np.ndarray:
         return np.sqrt(np.maximum(self.counts if self.variance is None else self.variance, 1.0))
@@ -171,8 +173,8 @@ def fit_fringe(data: ScanData) -> FitResult:
 
 def net_correct(data: ScanData, accidental_rate: float) -> ScanData:
     """Subtract the expected accidental counts per point, flooring at zero."""
-    if accidental_rate < 0:
-        raise ValueError("accidental rate must be non-negative")
+    if not 0 <= accidental_rate < np.inf:
+        raise ValueError("accidental_rate must be finite and non-negative")
     acc = accidental_rate * data.integration_time_s
     return replace(data, counts=np.maximum(data.counts - acc, 0.0), variance=data.counts)
 

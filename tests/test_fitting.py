@@ -87,6 +87,20 @@ def test_fit_input_validation():
         ScanData((0, 1), (1.0, 2.0), 0.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["x", "counts", "integration_time_s", "accidental_rate"])
+def test_non_finite_scan_input_rejected(field, value):
+    """A NaN or infinite input fails where it comes in, naming its field,
+    instead of running a fit to its iteration limit or a wrong error."""
+    scan = {"x": np.arange(8.0), "counts": np.full(8, 50.0), "integration_time_s": 1.0}
+    if field in ("x", "counts"):
+        scan[field] = np.where(np.arange(8) == 3, value, scan[field])
+    elif field == "integration_time_s":
+        scan[field] = value
+    with pytest.raises(ValueError, match=field):
+        net_correct(ScanData(**scan), value if field == "accidental_rate" else 10.0)
+
+
 # --- error bars -----------------------------------------------------------
 
 def test_fringe_error_calibration():
