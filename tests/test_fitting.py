@@ -101,6 +101,22 @@ def test_non_finite_scan_input_rejected(field, value):
         net_correct(ScanData(**scan), value if field == "accidental_rate" else 10.0)
 
 
+def test_scan_from_tuples_fits_as_from_arrays():
+    rng = np.random.default_rng(4)
+    tau, theta = np.linspace(-15.0, 15.0, 40), np.linspace(0.0, 90.0, 40)
+    for fit, x, mean in ((fit_dip, tau, dip_model(tau, 2700.0, 0.83, 0.4, 7.11)),
+                         (fit_fringe, theta, fringe_model(theta, 540.0, 0.71, 10.0))):
+        counts = rng.poisson(mean)
+        from_tuples = ScanData(tuple(x.tolist()), tuple(int(c) for c in counts), 60.0)
+        from_arrays = ScanData(x, counts.astype(float), 60.0)
+        for data in (from_tuples, from_arrays):
+            assert data.x.dtype == data.counts.dtype == np.float64
+        for a, b in ((from_tuples, from_arrays),
+                     (net_correct(from_tuples, 0.5), net_correct(from_arrays, 0.5))):
+            fit_a, fit_b = fit(a), fit(b)
+            assert fit_a.params == fit_b.params and fit_a.std_errors == fit_b.std_errors
+
+
 # --- error bars -----------------------------------------------------------
 
 def test_fringe_error_calibration():

@@ -164,6 +164,14 @@ def test_hom_scan_rejects_empty():
         hom_scan(Wavepacket(5.0), [], 1.0)
 
 
+def test_scans_return_float_arrays():
+    scans = (hom_scan(Wavepacket(5.0), [-1.0, 0.0, 1.0], 0.85),
+             bell_scan(0.9, 0.0, 22.5, [0.0, 22.5, 45.0]))
+    for scan in scans:
+        p = scan.coincidence_probability
+        assert isinstance(p, np.ndarray) and p.dtype == np.float64 and p.shape == (3,)
+
+
 # --- Bell scans -----------------------------------------------------------
 
 def test_bell_scan_da_midpoint():

@@ -169,6 +169,17 @@ def test_tuning_curve_continuity_near_degeneracy(calibrated):
     assert np.all(np.abs(np.diff(signals)) < 5.0)
 
 
+def test_tuning_curve_returns_columns(calibrated):
+    cfg = QpmConfig(6.6, 96.8, 655.0)
+    columns = tuning_curve(cfg, calibrated, np.arange(96.0, 97.6, 0.1))
+    assert len(columns) == 4
+    temps, signals, idlers, degenerate = columns
+    for column in columns:
+        assert isinstance(column, np.ndarray) and column.shape == temps.shape
+    assert temps.size > 0 and temps.dtype == signals.dtype == idlers.dtype == np.float64
+    assert degenerate.dtype == bool and degenerate.any()
+
+
 # --- emission spectrum and filtering --------------------------------------
 
 def test_build_spectrum_defaults():
