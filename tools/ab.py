@@ -12,16 +12,20 @@ alternates which side goes first. An op's time is what `OpRunner` returns:
 the op's wall time, with its check outside the timer.
 
 It prints each side's median and quartiles, the number of op pairs in which
-the change was faster, the failed checks, and each process's peak RSS
-(`ru_maxrss`) after 1, 50, 100, 200, ... ops and after the last op, counting
-the warm-up. The last line is the same record as JSON.
+the change was faster, the median of the per-pair ratios t_change/t_parent,
+the failed checks, and each process's peak RSS (`ru_maxrss`) after 1, 50,
+100, 200, ... ops and after the last op, counting the warm-up. The last line
+is the same record as JSON.
 
 Pairing ops this way cancels host drift that separate benchmark runs see as
-run-to-run spread. Two processes running identical code can still differ by a
+run-to-run spread. The two ops of a pair run back to back, so a host phase
+scales both and cancels out of their ratio; the median of each side's own
+times keeps the phases its ops fell in, so the paired ratio is the estimate
+of the change's effect. Two processes running identical code can still differ by a
 few per cent per op, so with two or more CPUs each worker is pinned to a CPU
 of its own (`os.sched_setaffinity`, on its own process only) and the pins are
-swapped after half of the op pairs; the change-faster count is printed for
-each half and overall. With one CPU nothing is pinned, and the output says so.
+swapped after half of the op pairs; the change-faster count and the paired
+ratio are printed for each half and overall. With one CPU nothing is pinned, and the output says so.
 Only the standard library is used here; the two processes need what each
 tree's benchmark needs. One BLAS thread is set by run.py, so each worker does
 its work on the one thread that is pinned.
@@ -134,10 +138,14 @@ def main(argv=None) -> int:
         for worker in workers.values():
             worker.close()
 
+    ratios = [c / p for p, c in zip(workers["parent"].times, workers["change"].times)]
+    paired = [statistics.median(r) for r in (ratios, ratios[:half], ratios[half:])]
     record = {"workload": args.workload, "op_pairs": args.ops, "seed": SEED,
               "alternating_order": True, "change_faster_in_op_pairs": sum(faster),
+              "paired_ratio_median": paired[0],
               "pinned_cpus": cpus if len(cpus) == 2 else None,
-              "change_faster_by_half": {"op_pairs": [half, args.ops - half], "count": faster},
+              "change_faster_by_half": {"op_pairs": [half, args.ops - half], "count": faster,
+                                        "paired_ratio_median": paired[1:]},
               **{side: _summary(workers[side]) for side in SIDES}}
     for side in SIDES:
         s = record[side]
@@ -149,12 +157,12 @@ def main(argv=None) -> int:
             print(f"{side:>7}  {failure}")
     if len(cpus) == 2:
         print(f"pinned: parent on CPU {cpus[0]} and change on CPU {cpus[1]}, change faster in "
-              f"{faster[0]}/{half} op pairs; swapped, {faster[1]}/{args.ops - half}")
+              f"{faster[0]}/{half} op pairs, paired ratio {paired[1]:.3f}; swapped, "
+              f"{faster[1]}/{args.ops - half}, {paired[2]:.3f}")
     else:
         print("one CPU available: workers not pinned")
-    ratio = record["change"]["median_s"] / record["parent"]["median_s"]
     print(f"{args.workload}: change faster in {sum(faster)}/{args.ops} op pairs; "
-          f"change/parent median {ratio:.3f}")
+          f"median of change/parent per op pair {paired[0]:.3f}")
     print(json.dumps(record))
     return 0
 
