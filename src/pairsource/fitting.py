@@ -126,7 +126,7 @@ def _run_fit(data: ScanData, model, jac, names, p0, lower, upper) -> FitResult:
     )
 
 
-def _extremes(data: ScanData, too_few: str, constant: str):
+def _extremes(data: ScanData, too_few: str, constant: str) -> tuple[float, float, float]:
     """Max and min of the counts and the contrast guess (max - min) / max, once
     the scan has at least 6 points and counts that are not constant."""
     if len(data.x) < 6:

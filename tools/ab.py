@@ -21,11 +21,12 @@ Pairing ops this way cancels host drift that separate benchmark runs see as
 run-to-run spread. The two ops of a pair run back to back, so a host phase
 scales both and cancels out of their ratio; the median of each side's own
 times keeps the phases its ops fell in, so the paired ratio is the estimate
-of the change's effect. Two processes running identical code can still differ by a
-few per cent per op, so with two or more CPUs each worker is pinned to a CPU
-of its own (`os.sched_setaffinity`, on its own process only) and the pins are
-swapped after half of the op pairs; the change-faster count and the paired
-ratio are printed for each half and overall. With one CPU nothing is pinned, and the output says so.
+of the change's effect. Two processes running identical code can still
+differ by a few per cent per op, so with two or more CPUs each worker is
+pinned to a CPU of its own (`os.sched_setaffinity`, on its own process only)
+and the pins are swapped after half of the op pairs; the change-faster count
+and the paired ratio are printed for each half and overall. With one CPU
+nothing is pinned, and the output says so.
 Only the standard library is used here; the two processes need what each
 tree's benchmark needs. One BLAS thread is set by run.py, so each worker does
 its work on the one thread that is pinned.
