@@ -1,8 +1,9 @@
 """Detection-chain statistics: singles/coincidence/accidental budgets.
 
-Continuous time is binned into non-overlapping coincidence windows. The
-analytic rates and the Monte Carlo share one per-window model so they
-agree to Poisson statistics:
+Continuous time is binned into non-overlapping coincidence windows. One
+per-window outcome pmf, `_window_pmf`, holds the whole model: the analytic
+rates sum it and the Monte Carlo samples it, so the two agree to Poisson
+statistics. The per-window model:
 
   - a pair is emitted with probability min(mu, 1) per window (or a
     Poisson number of pairs when double-pair emission is enabled);
@@ -16,12 +17,12 @@ agree to Poisson statistics:
     gated by Alice's click, so a Bob click implies a coincidence;
   - dark counts are Bernoulli per window (free running) or per gate.
 
-RNG is counter-based (numpy Philox), keyed per fixed-size window chunk,
-so tallies are independent of how chunks are partitioned across workers.
-Each chunk makes one multinomial draw of its windows over the cells (pair
-number, dark A, dark B) and tallies pair-free windows from their cells;
-only windows holding pairs are expanded, drawing 4 uniforms per emitted
-pair (splitter, detection 1, detection 2, interference).
+A window's outcome is its code click_a + 2*click_b + 4*true (a true
+coincidence implies both clicks). Windows are iid and only tallies leave a
+chunk, so each chunk's tally is one multinomial draw of its windows over
+the 8 codes. RNG is counter-based (numpy Philox), keyed per fixed-size
+window chunk, so tallies are independent of how chunks are partitioned
+across workers.
 """
 
 from __future__ import annotations
@@ -124,61 +125,75 @@ def _dark_prob(det: DetectorParams, window_ns: float) -> float:
     return min(det.dark_prob_per_ns * width, 1.0)
 
 
+def _or_convolve(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """pmf over the 8 codes of x | y, for independent codes x ~ p and y ~ q."""
+    codes = np.bitwise_or.outer(np.arange(p.size), np.arange(q.size))
+    return np.bincount(codes.ravel(), np.outer(p, q).ravel(), minlength=8)
+
+
+def _window_pmf(budget: SourceBudget, det_a: DetectorParams, det_b: DetectorParams,
+                interference_prob: float,
+                allow_double_pairs: bool) -> tuple[np.ndarray, np.ndarray]:
+    """P(code) of one window over the 8 codes click_a + 2*click_b + 4*true, and
+    the pmf of the photon clicks alone (no dark clicks, no gate).
+
+    The pairs of a window act independently, so their codes OR together: the
+    k-pair pmf is one pair's pmf OR-convolved k times, mixed over the pair
+    number. Dark clicks then OR into the clicks, never into true.
+    """
+    if not 0.0 <= interference_prob <= 1.0:
+        raise ValueError("interference_prob must be in [0, 1]")
+    mu = mean_pairs_per_window(budget)
+    q_a = budget.transmission_a * det_a.efficiency
+    q_b = budget.transmission_b * det_b.efficiency
+    q_b_int = q_b * interference_prob
+    sep, bunched = budget.bs_separation_prob, (1.0 - budget.bs_separation_prob) / 2.0
+    # one pair, split (photon 1 -> Alice, photon 2 -> Bob through the analyzers),
+    # both photons to Alice or both to Bob
+    one = np.zeros(8)
+    one[[0, 1, 2, 7]] = sep * np.outer([1.0 - q_b_int, q_b_int], [1.0 - q_a, q_a]).ravel()
+    one[:3] += bunched * np.array([(1.0 - q_a) ** 2 + (1.0 - q_b) ** 2,
+                                   2 * q_a - q_a**2, 2 * q_b - q_b**2])
+    pairs = (np.array([exp(-mu) * mu**k / factorial(k) for k in range(MAX_PAIRS + 1)])
+             if allow_double_pairs else np.array([1.0 - min(mu, 1.0), min(mu, 1.0)]))
+    pairs[-1] += max(0.0, 1.0 - pairs.sum())  # truncated Poisson: the tail joins MAX_PAIRS
+    k_pairs = [np.eye(8)[0]]
+    for _ in pairs[1:]:
+        k_pairs.append(_or_convolve(k_pairs[-1], one))
+    photons = pairs @ np.array(k_pairs)
+    d_a, d_b = _dark_prob(det_a, budget.window_ns), _dark_prob(det_b, budget.window_ns)
+    window = _or_convolve(photons, np.outer([1.0 - d_b, d_b], [1.0 - d_a, d_a]).ravel())
+    if det_b.mode == "gated":  # gated Bob needs Alice's click
+        window[0] += window[2]
+        window[2] = 0.0
+    return window, photons
+
+
 def expected_rates(
     budget: SourceBudget,
     det_a: DetectorParams,
     det_b: DetectorParams,
     interference_prob: float = 1.0,
 ) -> CountRates:
-    """Analytic singles/coincidence/accidental rates (counts/s).
-
-    Exact enumeration of the per-window model described in the module
-    docstring (single-pair regime).
-    """
-    if not 0.0 <= interference_prob <= 1.0:
-        raise ValueError("interference_prob must be in [0, 1]")
-    mu = mean_pairs_per_window(budget)
-    p_pair = min(mu, 1.0)
-    q_a = budget.transmission_a * det_a.efficiency
-    q_b = budget.transmission_b * det_b.efficiency
-    q_b_int = q_b * interference_prob
-    d_a = _dark_prob(det_a, budget.window_ns)
-    d_b = _dark_prob(det_b, budget.window_ns)
-    sep = budget.bs_separation_prob
-
-    # (probability of case, P(photon click a | case), P(photon click b | case))
-    cases = [
-        (1.0 - p_pair, 0.0, 0.0),
-        (p_pair * sep, q_a, q_b_int),                      # split
-        (p_pair * (1 - sep) / 2, 2 * q_a - q_a**2, 0.0),   # both to Alice
-        (p_pair * (1 - sep) / 2, 0.0, 2 * q_b - q_b**2),   # both to Bob
-    ]
-    p_click_a = sum(p * (1 - (1 - pa) * (1 - d_a)) for p, pa, _ in cases)
-    p_click_b_raw = sum(p * (1 - (1 - pb) * (1 - d_b)) for p, _, pb in cases)
-    p_coinc = sum(p * (1 - (1 - pa) * (1 - d_a)) * (1 - (1 - pb) * (1 - d_b))
-                  for p, pa, pb in cases)
-    p_true = p_pair * sep * q_a * q_b_int
-    p_acc = p_coinc - p_true
-
+    """Analytic singles/coincidence/accidental rates (counts/s): sums of the
+    single-pair window pmf of `_window_pmf`."""
+    pmf, photons = _window_pmf(budget, det_a, det_b, interference_prob, False)
     window_s = budget.window_ns * 1e-9
-    singles_a = p_click_a / window_s
-    singles_b = (p_coinc if det_b.mode == "gated" else p_click_b_raw) / window_s
-    coincidences = p_coinc / window_s
-    accidentals = p_acc / window_s
-
-    photon_singles_a = sum(p * pa for p, pa, _ in cases) / window_s
+    singles_a, singles_b, coincidences, accidentals, true, photon_singles_a = (
+        float(p) / window_s for p in (pmf[1::2].sum(), pmf[[2, 3, 6, 7]].sum(),
+                                      pmf[3] + pmf[7], pmf[3], pmf[7], photons[1::2].sum()))
     breakdown = {
-        "mu": mu,
+        "mu": mean_pairs_per_window(budget),
         "pair_rate_per_s": budget.pair_rate_per_s,
         "transmission_a": budget.transmission_a,
         "transmission_b": budget.transmission_b,
-        "q_a": q_a,
-        "q_b": q_b,
-        "dark_prob_a_per_window": d_a,
-        "dark_prob_b_per_gate": d_b,
+        "q_a": budget.transmission_a * det_a.efficiency,
+        "q_b": budget.transmission_b * det_b.efficiency,
+        "dark_prob_a_per_window": _dark_prob(det_a, budget.window_ns),
+        "dark_prob_b_per_gate": _dark_prob(det_b, budget.window_ns),
         "singles_a_photons": photon_singles_a,
         "singles_a_dark": singles_a - photon_singles_a,
-        "true_coincidences": p_true / window_s,
+        "true_coincidences": true,
         "accidental_fraction": accidentals / coincidences if coincidences > 0 else 0.0,
     }
     return CountRates(singles_a, singles_b, coincidences, accidentals, breakdown)
@@ -248,51 +263,10 @@ def _with_arm_losses(budget: SourceBudget, loss_a_db: float, loss_b_db: float) -
                    loss_split=loss_a_db / total if total > 0 else 0.5)
 
 
-def _chunk_counts(seed: int, chunk_index: int, n: int, budget: SourceBudget,
-                  det_a: DetectorParams, det_b: DetectorParams,
-                  interference_prob: float, allow_double_pairs: bool) -> np.ndarray:
-    """Outcome counts of one chunk of n windows, indexed by the window code
-    click_a + 2*click_b + 4*true (a true coincidence implies both clicks).
-
-    The chunk's Philox stream, keyed [seed, chunk_index], first splits the n
-    windows over the cells (pair number k, dark A + 2*dark B) in one
-    multinomial draw, which is exact since windows are exchangeable and only
-    tallies leave the chunk. Pair slot k then draws an (m_k, 4) block
-    (separation, detection 1, detection 2, interference) for the m_k windows
-    holding more than k pairs, a prefix when laid out by descending k.
-    """
-    mu = mean_pairs_per_window(budget)
-    q_a = budget.transmission_a * det_a.efficiency
-    q_b = budget.transmission_b * det_b.efficiency
-    sep = budget.bs_separation_prob
-    pmf = (np.array([exp(-mu) * mu**i / factorial(i) for i in range(MAX_PAIRS + 1)])
-           if allow_double_pairs else np.array([1.0 - min(mu, 1.0), min(mu, 1.0)]))
-    pmf[-1] += max(0.0, 1.0 - pmf.sum())  # truncated Poisson: the tail joins MAX_PAIRS
-    d_a, d_b = _dark_prob(det_a, budget.window_ns), _dark_prob(det_b, budget.window_ns)
-    darks = np.outer([1.0 - d_b, d_b], [1.0 - d_a, d_a]).ravel()
-    gen = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
-    cells = gen.multinomial(n, np.outer(pmf, darks).ravel()).reshape(-1, 4)
-    occupied = cells[:0:-1]  # windows holding pairs, by descending pair number
-    dark = np.repeat(np.tile(np.arange(4, dtype=np.uint8), len(occupied)), occupied.ravel())
-    ph_a, ph_b, true_pair = np.zeros((3, dark.size), dtype=bool)
-    held = np.cumsum(occupied.sum(axis=1))[::-1]  # held[k]: windows with more than k pairs
-    for m in held[held > 0]:
-        u_sep, u_d1, u_d2, u_int = gen.random((m, 4)).T
-        split = u_sep < sep
-        both_a = ~split & (u_sep < sep + (1 - sep) / 2)
-        both_b = ~split & ~both_a
-        # split: photon 1 -> Alice, photon 2 -> Bob (interference veto on Bob)
-        det1_split = split & (u_d1 < q_a)
-        det2_split = split & (u_d2 < q_b) & (u_int < interference_prob)
-        ph_a[:m] |= det1_split | (both_a & ((u_d1 < q_a) | (u_d2 < q_a)))
-        ph_b[:m] |= det2_split | (both_b & ((u_d1 < q_b) | (u_d2 < q_b)))
-        true_pair[:m] |= det1_split & det2_split
-
-    gate = np.array([0, 1, 0 if det_b.mode == "gated" else 2, 3])  # gated Bob needs Alice's click
-    clicks = (ph_a.view(np.uint8) + 2 * ph_b.view(np.uint8)) | dark
-    counts = np.bincount(gate[clicks] + 4 * true_pair.view(np.uint8), minlength=8)
-    np.add.at(counts, gate, cells[0])  # pair-free windows click by dark counts only
-    return counts
+def _chunk_counts(seed: int, chunk_index: int, n: int, pmf: np.ndarray) -> np.ndarray:
+    """Counts of one chunk of n windows over the 8 window codes: one multinomial
+    draw from the chunk's Philox stream, keyed [seed, chunk_index]."""
+    return np.random.Generator(np.random.Philox(key=[seed, chunk_index])).multinomial(n, pmf)
 
 
 def simulate_counts(
@@ -312,10 +286,10 @@ def simulate_counts(
     """
     if n_windows < 1:
         raise ValueError("n_windows must be >= 1")
+    pmf = _window_pmf(budget, det_a, det_b, interference_prob, allow_double_pairs)[0]
     counts = np.zeros(8, dtype=np.int64)
     for ci in range((n_windows + CHUNK - 1) // CHUNK):
-        counts += _chunk_counts(seed, ci, min(CHUNK, n_windows - ci * CHUNK), budget,
-                                det_a, det_b, interference_prob, allow_double_pairs)
+        counts += _chunk_counts(seed, ci, min(CHUNK, n_windows - ci * CHUNK), pmf)
     tallies = dict(zip(("no_click", "a_only", "b_only", "coincidence"),
                        (counts[:4] + counts[4:]).tolist()))  # by click_a + 2*click_b
     details = {"true_coincidences": int(counts[7]),

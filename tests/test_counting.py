@@ -4,6 +4,7 @@ from math import exp, factorial
 
 import numpy as np
 import pytest
+from photon_mc import photon_chunk_counts
 
 from pairsource.counting import (
     CHUNK,
@@ -18,6 +19,7 @@ from pairsource.counting import (
     mean_pairs_per_window,
     simulate_counts,
     _chunk_counts,
+    _window_pmf,
 )
 
 C_NM_PER_PS = 299792.458  # speed of light, nm per ps
@@ -367,7 +369,8 @@ def test_mc_chunks_are_partition_independent(double_pairs):
     det_b = DetectorParams(0.5, 5e-4, "gated")
     n_windows = 3 * CHUNK + 5
     sizes = [CHUNK, CHUNK, CHUNK, 5]
-    counts = sum(_chunk_counts(4, ci, sizes[ci], budget, det_a, det_b, 0.8, double_pairs)
+    counts = sum(_chunk_counts(4, ci, sizes[ci],
+                               _window_pmf(budget, det_a, det_b, 0.8, double_pairs)[0])
                  for ci in reversed(range(len(sizes))))
     run = simulate_counts(budget, det_a, det_b, interference_prob=0.8,
                           n_windows=n_windows, seed=4, allow_double_pairs=double_pairs)
@@ -376,6 +379,109 @@ def test_mc_chunks_are_partition_independent(double_pairs):
                                    by_clicks))
     assert run.details == {"true_coincidences": counts[7],
                            "accidental_coincidences": by_clicks[3] - counts[7]}
+
+
+def test_free_running_oracle_matches_double_pair_pmf():
+    budget, det_a, det_b = BRIGHT_FREE
+    for interference_prob in (1.0, 0.7):
+        probs = _free_running_oracle(budget, det_a, det_b,
+                                     _truncated_poisson(mean_pairs_per_window(budget)),
+                                     interference_prob)
+        pmf = _window_pmf(budget, det_a, det_b, interference_prob, True)[0]
+        assert probs["coincidence"] == pytest.approx(pmf[3] + pmf[7], rel=1e-12)
+        assert probs["a_only"] == pytest.approx(pmf[1] + pmf[5], rel=1e-12)
+        assert probs["b_only"] == pytest.approx(pmf[2] + pmf[6], rel=1e-12)
+
+
+DET_B_GATED_BRIGHT = DetectorParams(0.5, 5e-4, "gated")
+# (budget, det_a, det_b, interference_prob, allow_double_pairs)
+ORACLE_CONFIGS = {
+    "paper_gated": (paper_budget(), DET_A, DET_B, 1.0, False),
+    "free_running_heavy_darks": (paper_budget(channel_loss_db=3.0),
+                                 DetectorParams(0.3, 0.10 / 1.5),
+                                 DetectorParams(0.5, 0.12 / 1.5), 1.0, False),
+    "interference_0.8": (BRIGHT_FREE[0], BRIGHT_FREE[1], DET_B_GATED_BRIGHT, 0.8, False),
+    "double_pair_free_running": (*BRIGHT_FREE, 1.0, True),
+    "double_pair_gated": (BRIGHT_FREE[0], BRIGHT_FREE[1], DET_B_GATED_BRIGHT, 0.8, True),
+}
+ORACLE_SEED, ORACLE_CHUNKS = 23, 128
+CHI2_UPPER_0_1_PERCENT = {1: 10.83, 2: 13.82, 3: 16.27, 4: 18.47, 5: 20.52, 6: 22.46, 7: 24.32}
+
+
+@pytest.mark.parametrize("config", ORACLE_CONFIGS.values(), ids=ORACLE_CONFIGS.keys())
+def test_photon_sampler_matches_window_pmf(config):
+    # chi-square over the 8 codes: the photon-by-photon sampler's tallies
+    # against n * pmf; codes expecting fewer than 5 counts are pooled
+    pmf = _window_pmf(*config)[0]
+    observed = sum(photon_chunk_counts(ORACLE_SEED, ci, CHUNK, *config)
+                   for ci in range(ORACLE_CHUNKS))
+    expected = ORACLE_CHUNKS * CHUNK * pmf
+    assert not observed[pmf == 0].any()
+    small = expected < 5
+    obs, exp_ = list(observed[~small]), list(expected[~small])
+    if expected[small].sum() >= 5:
+        obs.append(observed[small].sum())
+        exp_.append(expected[small].sum())
+    else:  # too little for a bin of its own: it joins the largest bin
+        top = int(np.argmax(exp_))
+        obs[top] += observed[small].sum()
+        exp_[top] += expected[small].sum()
+    obs, exp_ = np.array(obs), np.array(exp_)
+    chi2 = float(np.sum((obs - exp_) ** 2 / exp_))
+    assert chi2 < CHI2_UPPER_0_1_PERCENT[len(obs) - 1], (obs.tolist(), exp_.tolist())
+
+
+PMF_EDGES = {
+    "mu_0": (paper_budget(pump_power_mw=0.0), DET_A, DET_B, 1.0),
+    "mu_above_1": (paper_budget(pump_power_mw=30.0), DET_A, DET_B, 1.0),
+    "dark_1": (paper_budget(), DetectorParams(0.04, 1 / 1.5),
+               DetectorParams(0.1, 1 / 1.5, "gated"), 1.0),
+    "dark_near_1": (paper_budget(), DetectorParams(0.04, (1 - 1e-12) / 1.5),
+                    DetectorParams(0.1, (1 - 1e-12) / 1.5), 1.0),
+    "sep_0": (paper_budget(bs_separation_prob=0.0), DET_A, DET_B, 1.0),
+    "sep_1": (paper_budget(bs_separation_prob=1.0, channel_loss_db=0.0),
+              DetectorParams(1.0, 0.0), DetectorParams(1.0, 0.0), 1.0),
+    "interference_0": (paper_budget(), DET_A, DET_B, 0.0),
+}
+
+
+@pytest.mark.parametrize("double_pairs", [False, True], ids=["single_pair", "double_pair"])
+@pytest.mark.parametrize("config", PMF_EDGES.values(), ids=PMF_EDGES.keys())
+def test_window_pmf_is_a_pmf(config, double_pairs):
+    pmf, photons = _window_pmf(*config, double_pairs)
+    for p in (pmf, photons):
+        assert p.shape == (8,) and (p >= 0).all()
+        assert abs(p.sum() - 1.0) <= 1e-12
+        assert not p[4:7].any()  # a true coincidence implies both clicks
+    if config[2].mode == "gated":
+        assert pmf[2] == 0.0
+
+
+@pytest.mark.parametrize("mode", ["free_running", "gated"])
+def test_chunk_tallies_are_multinomial_and_independent(mode):
+    # 40 seeds x 25 chunk indices: per-code means and variances follow
+    # Multinomial(CHUNK, pmf), and neighbouring keys give uncorrelated tallies
+    budget, det_a, _ = BRIGHT_FREE
+    pmf = _window_pmf(budget, det_a, DetectorParams(0.5, 5e-4, mode), 0.8, True)[0]
+    tallies = np.array([[_chunk_counts(seed, ci, CHUNK, pmf) for ci in range(25)]
+                        for seed in range(40)], dtype=float)
+    n_draws = tallies.shape[0] * tallies.shape[1]
+    codes = np.flatnonzero(CHUNK * pmf >= 50)
+    assert len(codes) >= 3
+    for code in codes:
+        t = tallies[:, :, code]
+        mean, var = CHUNK * pmf[code], CHUNK * pmf[code] * (1 - pmf[code])
+        assert abs(t.mean() - mean) <= 5 * np.sqrt(var / n_draws), code
+        assert 0.8 <= t.var(ddof=1) / var <= 1.2, code
+        for x, y in ((t[:, :-1], t[:, 1:]), (t[:-1], t[1:]), (t[1:, :-1], t[:-1, 1:])):
+            assert abs(np.corrcoef(x.ravel(), y.ravel())[0, 1]) < 0.15, code
+
+
+@pytest.mark.parametrize("interference_prob", [-0.1, 1.5])
+def test_mc_rejects_bad_interference_prob(interference_prob):
+    with pytest.raises(ValueError, match="interference_prob"):
+        simulate_counts(paper_budget(), DET_A, DET_B, interference_prob=interference_prob,
+                        n_windows=10)
 
 
 def test_single_pair_mode_has_no_multi_pair_accidentals():
