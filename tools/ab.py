@@ -13,9 +13,10 @@ the op's wall time, with its check outside the timer.
 
 It prints each side's median and quartiles, the number of op pairs in which
 the change was faster, the median of the per-pair ratios t_change/t_parent,
-the failed checks, and each process's peak RSS (`ru_maxrss`) after 1, 50,
-100, 200, ... ops and after the last op, counting the warm-up. The last line
-is the same record as JSON.
+the geometric mean of that median's two halves, the failed checks, and each
+process's peak RSS (`ru_maxrss`) after 1, 50, 100, 200, ... ops and after the
+last op, counting the warm-up. The last line is the same record as JSON, with
+every timed op's time in order.
 
 Pairing ops this way cancels host drift that separate benchmark runs see as
 run-to-run spread. The two ops of a pair run back to back, so a host phase
@@ -25,8 +26,11 @@ of the change's effect. Two processes running identical code can still
 differ by a few per cent per op, so with two or more CPUs each worker is
 pinned to a CPU of its own (`os.sched_setaffinity`, on its own process only)
 and the pins are swapped after half of the op pairs; the change-faster count
-and the paired ratio are printed for each half and overall. With one CPU
-nothing is pinned, and the output says so.
+and the paired ratio are printed for each half and overall. A fixed per-CPU
+factor f multiplies one half's ratios by f and the other's by 1/f, so the
+geometric mean of the two half medians cancels it, where the pooled median
+cancels it only when the halves weigh alike; it is the verdict's input.
+With one CPU nothing is pinned, and the output says so.
 Only the standard library is used here; the two processes need what each
 tree's benchmark needs. One BLAS thread is set by run.py, so each worker does
 its work on the one thread that is pinned.
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -101,7 +106,8 @@ def _summary(worker: Worker) -> dict:
     checkpoints = [1, *(k for k in (50 * 2 ** i for i in range(n.bit_length())) if k < n), n]
     return {"median_s": median, "q1_s": q1, "q3_s": q3, "ops": len(worker.times),
             "failed_checks": len(worker.failures), "failures": worker.failures[:5],
-            "rss_mb_after_ops": {k: worker.rss_mb[k - 1] for k in checkpoints}}
+            "rss_mb_after_ops": {k: worker.rss_mb[k - 1] for k in checkpoints},
+            "times_s": worker.times}
 
 
 def main(argv=None) -> int:
@@ -141,9 +147,10 @@ def main(argv=None) -> int:
 
     ratios = [c / p for p, c in zip(workers["parent"].times, workers["change"].times)]
     paired = [statistics.median(r) for r in (ratios, ratios[:half], ratios[half:])]
+    geomean = math.sqrt(paired[1] * paired[2])
     record = {"workload": args.workload, "op_pairs": args.ops, "seed": SEED,
               "alternating_order": True, "change_faster_in_op_pairs": sum(faster),
-              "paired_ratio_median": paired[0],
+              "paired_ratio_median": paired[0], "paired_ratio_geomean_of_halves": geomean,
               "pinned_cpus": cpus if len(cpus) == 2 else None,
               "change_faster_by_half": {"op_pairs": [half, args.ops - half], "count": faster,
                                         "paired_ratio_median": paired[1:]},
@@ -163,7 +170,8 @@ def main(argv=None) -> int:
     else:
         print("one CPU available: workers not pinned")
     print(f"{args.workload}: change faster in {sum(faster)}/{args.ops} op pairs; "
-          f"median of change/parent per op pair {paired[0]:.3f}")
+          f"median of change/parent per op pair {paired[0]:.3f}; "
+          f"geometric mean of the half medians {geomean:.3f}")
     print(json.dumps(record))
     return 0
 
