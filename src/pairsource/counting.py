@@ -179,6 +179,7 @@ def expected_rates(
     single-pair window pmf of `_window_pmf`."""
     pmf, photons = _window_pmf(budget, det_a, det_b, interference_prob, False)
     window_s = budget.window_ns * 1e-9
+    # Alice clicks in odd codes, Bob in 2, 3, 6, 7; 3 is an accidental, 7 a true coincidence
     singles_a, singles_b, coincidences, accidentals, true, photon_singles_a = (
         float(p) / window_s for p in (pmf[1::2].sum(), pmf[[2, 3, 6, 7]].sum(),
                                       pmf[3] + pmf[7], pmf[3], pmf[7], photons[1::2].sum()))

@@ -405,7 +405,7 @@ ORACLE_CONFIGS = {
     "double_pair_gated": (BRIGHT_FREE[0], BRIGHT_FREE[1], DET_B_GATED_BRIGHT, 0.8, True),
 }
 ORACLE_SEED, ORACLE_CHUNKS = 23, 128
-CHI2_UPPER_0_1_PERCENT = {1: 10.83, 2: 13.82, 3: 16.27, 4: 18.47, 5: 20.52, 6: 22.46, 7: 24.32}
+CHI2_UPPER_0_1_PERCENT = {1: 10.83, 2: 13.82, 3: 16.27, 4: 18.47}  # by degrees of freedom
 
 
 @pytest.mark.parametrize("config", ORACLE_CONFIGS.values(), ids=ORACLE_CONFIGS.keys())
@@ -459,12 +459,12 @@ def test_window_pmf_is_a_pmf(config, double_pairs):
 
 @pytest.mark.parametrize("mode", ["free_running", "gated"])
 def test_chunk_tallies_are_multinomial_and_independent(mode):
-    # 40 seeds x 25 chunk indices: per-code means and variances follow
+    # 400 seeds x 3 chunk indices: per-code means and variances follow
     # Multinomial(CHUNK, pmf), and neighbouring keys give uncorrelated tallies
     budget, det_a, _ = BRIGHT_FREE
     pmf = _window_pmf(budget, det_a, DetectorParams(0.5, 5e-4, mode), 0.8, True)[0]
-    tallies = np.array([[_chunk_counts(seed, ci, CHUNK, pmf) for ci in range(25)]
-                        for seed in range(40)], dtype=float)
+    tallies = np.array([[_chunk_counts(seed, ci, CHUNK, pmf) for ci in range(3)]
+                        for seed in range(400)], dtype=float)
     n_draws = tallies.shape[0] * tallies.shape[1]
     codes = np.flatnonzero(CHUNK * pmf >= 50)
     assert len(codes) >= 3
