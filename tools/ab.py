@@ -29,7 +29,7 @@ and the pins are swapped after half of the op pairs; the change-faster count
 and the paired ratio are printed for each half and overall. A fixed per-CPU
 factor f multiplies one half's ratios by f and the other's by 1/f, so the
 geometric mean of the two half medians cancels it, where the pooled median
-cancels it only when the halves weigh alike; it is the verdict's input.
+cancels it only when the halves weigh alike; read it before the pooled one.
 With one CPU nothing is pinned, and the output says so.
 Only the standard library is used here; the two processes need what each
 tree's benchmark needs. One BLAS thread is set by run.py, so each worker does
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import statistics
 import subprocess
@@ -147,7 +146,7 @@ def main(argv=None) -> int:
 
     ratios = [c / p for p, c in zip(workers["parent"].times, workers["change"].times)]
     paired = [statistics.median(r) for r in (ratios, ratios[:half], ratios[half:])]
-    geomean = math.sqrt(paired[1] * paired[2])
+    geomean = statistics.geometric_mean(paired[1:])
     record = {"workload": args.workload, "op_pairs": args.ops, "seed": SEED,
               "alternating_order": True, "change_faster_in_op_pairs": sum(faster),
               "paired_ratio_median": paired[0], "paired_ratio_geomean_of_halves": geomean,
