@@ -29,7 +29,8 @@ LAMBDA_MAX_NM = 2000.0
 # signal grid, around degeneracy, that tuning_curve searches for roots of delta_k
 TUNING_HALFWIDTH_NM = 200.0
 TUNING_STEP_NM = 0.25
-TUNING_BISECTIONS = 28  # halvings that take a TUNING_STEP_NM bracket below 1e-9 nm
+TUNING_TOL_NM = 1e-9  # a root is done when its last Illinois step is below this
+TUNING_MAX_PASSES = 40  # bound on the Illinois passes; about 4 reach TUNING_TOL_NM
 
 
 class NoPhaseMatchingError(RuntimeError):
@@ -116,7 +117,8 @@ def refractive_index(model: DispersionModel, lam_nm, temp_c: float, pol: str):
     lam_nm may be an array; the result then has its shape.
     """
     if not np.all((LAMBDA_MIN_NM <= lam_nm) & (lam_nm <= LAMBDA_MAX_NM)):
-        raise ValueError(f"wavelength {lam_nm} nm outside [{LAMBDA_MIN_NM}, {LAMBDA_MAX_NM}] nm")
+        worst = float(np.max(lam_nm) if np.max(lam_nm) > LAMBDA_MAX_NM else np.min(lam_nm))
+        raise ValueError(f"wavelength {worst} nm outside [{LAMBDA_MIN_NM}, {LAMBDA_MAX_NM}] nm")
     pol = pol.upper()
     if pol not in ("H", "V"):
         raise ValueError(f"polarization must be 'H' or 'V', got {pol!r}")
@@ -143,7 +145,8 @@ class QpmConfig:
 def idler_wavelength(pump_nm: float, signal_nm):
     """Energy conservation: 1/lam_i = 1/lam_p - 1/lam_s, elementwise in signal_nm."""
     if np.any(np.less_equal(signal_nm, pump_nm)):
-        raise ValueError(f"signal ({signal_nm} nm) must be longer than pump ({pump_nm} nm)")
+        raise ValueError(f"signal ({float(np.min(signal_nm))} nm) must be longer than "
+                         f"pump ({pump_nm} nm)")
     return 1.0 / (1.0 / pump_nm - 1.0 / signal_nm)
 
 
@@ -213,25 +216,37 @@ def tuning_curve(
     the flag as bools; temperatures without a solution contribute no entries.
     """
     lam_deg = 2.0 * cfg.pump_wavelength_nm
-    lo = max(lam_deg - TUNING_HALFWIDTH_NM, cfg.pump_wavelength_nm + 1.0, LAMBDA_MIN_NM)
+    # the signal whose idler sits a step inside LAMBDA_MAX_NM keeps both photons in the
+    # table; it lies above the pump and LAMBDA_MIN_NM for every pump the table holds
+    lo = max(lam_deg - TUNING_HALFWIDTH_NM,
+             idler_wavelength(cfg.pump_wavelength_nm, LAMBDA_MAX_NM - TUNING_STEP_NM))
     hi = min(lam_deg + TUNING_HALFWIDTH_NM, LAMBDA_MAX_NM)
     grid = np.arange(lo, hi, TUNING_STEP_NM)
 
     # one (temperature x signal) grid; delta_k is elementwise, so it broadcasts
     temps = np.atleast_1d(np.asarray(temperatures, dtype=float))
     vals = delta_k(replace(cfg, temperature_c=temps[:, None]), model, grid)
-    t, i = np.nonzero(np.diff(np.sign(vals), axis=1) != 0)
-    # bisect every sign-changing bracket [a, b] at once
+    # a bracket changes the sign of delta_k >= 0, so a root on a node opens one bracket
+    nonneg = vals >= 0
+    t, i = np.nonzero(nonneg[:, 1:] != nonneg[:, :-1])
+    # Illinois regula falsi (Dowell & Jarratt 1971) on every bracket at once; b is the
+    # latest iterate, f_a keeps the other sign and is halved while b stays on one side
     at_t = replace(cfg, temperature_c=temps[t])
-    a, b, f_a = grid[i], grid[i + 1], vals[t, i]
-    for _ in range(TUNING_BISECTIONS):
-        mid = 0.5 * (a + b)
-        f_mid = delta_k(at_t, model, mid)
-        left = np.sign(f_mid) == np.sign(f_a)  # the root lies right of mid
-        a, b, f_a = np.where(left, mid, a), np.where(left, b, mid), np.where(left, f_mid, f_a)
-    roots = 0.5 * (a + b)
-    idlers = idler_wavelength(cfg.pump_wavelength_nm, roots)
-    return temps[t], roots, idlers, np.abs(roots - idlers) < 0.5
+    neg = i + nonneg[t, i]  # the end where delta_k < 0 starts as a, so f_a is never 0
+    pos = 2 * i + 1 - neg
+    a, b, f_a, f_b = grid[neg], grid[pos], vals[t, neg], vals[t, pos]
+    for _ in range(TUNING_MAX_PASSES):
+        x = b - f_b * (b - a) / (f_b - f_a)
+        f_x = delta_k(at_t, model, x)
+        flip = f_x * f_b < 0  # the root lies between b and x
+        a, f_a = np.where(flip, b, a), np.where(flip, f_b, 0.5 * f_a)
+        step, b, f_b = x - b, x, f_x
+        if np.all((np.abs(step) < TUNING_TOL_NM) | (f_b == 0)):
+            break
+    else:
+        raise RuntimeError(f"tuning-curve roots not converged in {TUNING_MAX_PASSES} passes")
+    idlers = idler_wavelength(cfg.pump_wavelength_nm, b)
+    return temps[t], b, idlers, np.abs(b - idlers) < 0.5
 
 
 # ---------------------------------------------------------------------------

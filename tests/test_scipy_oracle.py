@@ -60,16 +60,27 @@ def _brentq_tuning_curve(cfg, model, temperatures):
     return rows
 
 
-@pytest.mark.parametrize("pump_nm", [655.0, 780.0])
-def test_tuning_curve_roots_match_brentq(model, pump_nm):
+def _check_roots_match_brentq(model, pump_nm, temps):
+    """Every tuning-curve root within 1e-9 nm of brentq's; returns the degenerate flags."""
     cfg = spdc.QpmConfig(spdc.find_degenerate_period(model, pump_nm, 96.8), 96.8, pump_nm)
-    temps = np.arange(60.0, 140.0 + 1e-9, 2.0)
-    temps_c, signals, _, _ = spdc.tuning_curve(cfg, model, temps)
+    temps_c, signals, _, degenerate = spdc.tuning_curve(cfg, model, temps)
     expected = _brentq_tuning_curve(cfg, model, temps)
     assert len(signals) == len(expected) > len(temps) / 2
     for temp, signal, (temp_ref, signal_ref) in zip(temps_c, signals, expected):
         assert temp == temp_ref
         assert signal == pytest.approx(signal_ref, rel=0, abs=1e-9)
+    return degenerate
+
+
+@pytest.mark.parametrize("pump_nm", [655.0, 780.0])
+def test_tuning_curve_roots_match_brentq(model, pump_nm):
+    _check_roots_match_brentq(model, pump_nm, np.arange(60.0, 140.0 + 1e-9, 2.0))
+
+
+@pytest.mark.parametrize("pump_nm", [655.0, 780.0])
+def test_tuning_curve_roots_match_brentq_near_degeneracy(model, pump_nm):
+    """Near 96.8 degC the two roots close in on degeneracy and delta_k curves most."""
+    assert _check_roots_match_brentq(model, pump_nm, np.arange(96.0, 97.6 + 1e-9, 0.1)).any()
 
 
 # --- filter transmission ----------------------------------------------------

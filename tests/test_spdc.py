@@ -169,6 +169,41 @@ def test_tuning_curve_continuity_near_degeneracy(calibrated):
     assert np.all(np.abs(np.diff(signals)) < 5.0)
 
 
+@pytest.mark.parametrize("pump_nm", [860.0, 870.0])
+def test_tuning_curve_root_on_a_grid_node_is_one_row(calibrated, pump_nm):
+    cfg = QpmConfig(find_degenerate_period(calibrated, pump_nm, 96.8), 96.8, pump_nm)
+    # delta_k is exactly 0.0 on the grid node at degeneracy for these pumps
+    assert delta_k(cfg, calibrated, 2.0 * pump_nm) == 0.0
+    temps, signals, _, degenerate = tuning_curve(cfg, calibrated, [96.8])
+    assert temps.tolist() == [96.8]
+    assert signals.tolist() == [2.0 * pump_nm] and degenerate.all()
+
+
+def test_tuning_curve_keeps_the_idler_in_the_table(calibrated):
+    # at a 900 nm pump the grid's short-signal end once put the idler beyond LAMBDA_MAX_NM
+    cfg = QpmConfig(find_degenerate_period(calibrated, 900.0, 96.8), 96.8, 900.0)
+    temps, signals, idlers, degenerate = tuning_curve(cfg, calibrated, [96.8])
+    assert len(temps) == 1 and degenerate[0]
+    assert signals[0] == pytest.approx(1800.0, abs=1e-6)
+    assert idlers[0] == pytest.approx(1800.0, abs=1e-6)
+
+
+def test_tuning_curve_raises_when_the_passes_run_out(calibrated, monkeypatch):
+    monkeypatch.setattr(spdc, "TUNING_MAX_PASSES", 1)
+    with pytest.raises(RuntimeError, match="not converged in 1 passes"):
+        tuning_curve(QpmConfig(6.6, 96.8, 655.0), calibrated, [80.0])
+
+
+def test_range_errors_name_the_extreme_value(model):
+    with pytest.raises(ValueError, match=r"wavelength 2100\.0 nm outside \[400\.0, 2000\.0\] nm"):
+        refractive_index(model, np.array([1000.0, 2050.0, 2100.0]), 96.8, "H")
+    with pytest.raises(ValueError, match=r"wavelength 300\.0 nm outside"):
+        refractive_index(model, np.array([300.0, 350.0, 1000.0]), 96.8, "H")
+    with pytest.raises(ValueError, match=r"signal \(600\.0 nm\) must be longer than pump "
+                                         r"\(655\.0 nm\)"):
+        spdc.idler_wavelength(655.0, np.array([1310.0, 650.0, 600.0]))
+
+
 def test_tuning_curve_returns_columns(calibrated):
     cfg = QpmConfig(6.6, 96.8, 655.0)
     columns = tuning_curve(cfg, calibrated, np.arange(96.0, 97.6, 0.1))
