@@ -19,6 +19,7 @@ import functools
 import json
 import sys
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -52,14 +53,16 @@ def _json(obj) -> str:
 def _write(path: Path, content) -> None:
     """Write one artifact: CSV columns `(header, *columns)`, a JSON object or text.
 
-    CSV cells are numbers: a float gets 6 significant digits, any other value
-    its str(). Each column is formatted whole and the rows joined in one string.
+    CSV cells are numbers: a float column's cells get 6 significant digits, any
+    other column's cells their str(). One row template, picked from the column
+    dtypes, formats the whole table with a single `%`.
     """
     if isinstance(content, tuple):
         header, *columns = content
-        cells = [[f"{v:.6g}" if isinstance(v, float) else str(v)
-                  for v in (c.tolist() if isinstance(c, np.ndarray) else c)] for c in columns]
-        content = "\n".join(map(",".join, [header, *zip(*cells)]))
+        columns = [np.asarray(c) for c in columns]
+        row = "\n" + ",".join("%.6g" if c.dtype.kind == "f" else "%s" for c in columns)
+        cells = tuple(chain.from_iterable(zip(*(c.tolist() for c in columns))))
+        content = ",".join(header) + (row * len(columns[0]) if columns else "") % cells
     elif isinstance(content, dict):
         content = _json(content)
     path.write_text(content + "\n", encoding="utf-8", newline="")

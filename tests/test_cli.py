@@ -61,6 +61,16 @@ def test_qpm_calibrates_at_the_configured_anchor(capsys, tmp_path):
     assert rep["derived"]["calibration_offset_v"] == -0.00228411
 
 
+def test_qpm_without_solutions_writes_a_header_only_csv(capsys, tmp_path):
+    path = tmp_path / "hot.config"
+    path.write_text("qpm.tuning.t_min_c = 500\nqpm.tuning.t_max_c = 510\n")
+    rep = run_report(capsys, "qpm", "--no-timestamp", "--config", str(path),
+                     "--out", str(tmp_path / "out"))
+    assert rep["derived"]["tuning_curve_points"] == 0
+    assert ((tmp_path / "out" / "tuning_curve.csv").read_bytes()
+            == b"temperature_c,signal_nm,idler_nm,degenerate\n")
+
+
 # --- spectrum --------------------------------------------------------------
 
 def test_spectrum_report_values(capsys, tmp_path):
