@@ -14,9 +14,10 @@ It prints one line per case and exits 1 if any case differs. The cases are
 the nine golden runs of `tests/test_golden.py` plus runs that reach the
 paths the goldens miss: a seeded `chsh`, tiny and short Bell scans, a
 flat-top filter, a spectrum without its sideband, a tuning curve near
-degeneracy, the only case whose `degenerate` column holds a 1, and analytic
-rates with a free-running Bob, the only case off the gated branch. Only the standard
-library is used here; the runs need what pairsource needs.
+degeneracy, the only case whose `degenerate` column holds a 1, analytic
+rates with a free-running Bob, the only case off the gated branch, and a tuning
+range with no solution, the only case that writes a header-only CSV. Only the
+standard library is used here; the runs need what pairsource needs.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ CASES = {
     "qpm_near_degeneracy": (["qpm", "--no-mc"], "qpm.tuning.t_min_c = 96\n"
                             "qpm.tuning.t_max_c = 97.6\nqpm.tuning.t_step_c = 0.1\n"),
     "rates_free_running_bob": (["rates", "--no-mc"], "detector.b.mode = free_running\n"),
+    "qpm_no_solution": (["qpm", "--no-mc"], "qpm.tuning.t_min_c = 500\n"
+                        "qpm.tuning.t_max_c = 510\n"),
 }
 
 
