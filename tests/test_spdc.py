@@ -172,7 +172,6 @@ def test_tuning_curve_continuity_near_degeneracy(calibrated):
 @pytest.mark.parametrize("pump_nm", [860.0, 870.0])
 def test_tuning_curve_root_on_a_grid_node_is_one_row(calibrated, pump_nm):
     cfg = QpmConfig(find_degenerate_period(calibrated, pump_nm, 96.8), 96.8, pump_nm)
-    # delta_k is exactly 0.0 on the grid node at degeneracy for these pumps
     assert delta_k(cfg, calibrated, 2.0 * pump_nm) == 0.0
     temps, signals, _, degenerate = tuning_curve(cfg, calibrated, [96.8])
     assert temps.tolist() == [96.8]
@@ -180,7 +179,7 @@ def test_tuning_curve_root_on_a_grid_node_is_one_row(calibrated, pump_nm):
 
 
 def test_tuning_curve_keeps_the_idler_in_the_table(calibrated):
-    # at a 900 nm pump the grid's short-signal end once put the idler beyond LAMBDA_MAX_NM
+    # at a 900 nm pump, 200 nm below degeneracy the idler is beyond LAMBDA_MAX_NM
     cfg = QpmConfig(find_degenerate_period(calibrated, 900.0, 96.8), 96.8, 900.0)
     temps, signals, idlers, degenerate = tuning_curve(cfg, calibrated, [96.8])
     assert len(temps) == 1 and degenerate[0]
